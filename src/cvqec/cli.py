@@ -46,9 +46,15 @@ class CliError(Exception):
 
 
 def _model_from_args(args: argparse.Namespace) -> MeasurementModel:
-    if getattr(args, "sigma", 0.0) and args.sigma > 0:
-        return MeasurementModel.gaussian(args.sigma, repetitions=args.repetitions)
-    return MeasurementModel.exact()
+    if args.sigma == 0:
+        return MeasurementModel.exact()
+    return MeasurementModel.gaussian(args.sigma, repetitions=args.repetitions)
+
+
+def _logical_input(args: argparse.Namespace) -> np.ndarray:
+    """Logical position eigenstate at ``--logical-index`` (default x = 0)."""
+    spec = {"kind": "eigenstate", "index": args.logical_index}
+    return experiments.logical_wavefunction(spec, GridSpec(args.grid_n, 1))
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -61,12 +67,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 def cmd_encode(args: argparse.Namespace) -> int:
     code = get_code(args.code)
     grid = GridSpec(args.grid_n, code.mode_count)
-    psi = np.zeros(args.grid_n, dtype=np.complex128)
-    index = grid.center_index if args.logical_index is None else args.logical_index
-    if not 0 <= index < args.grid_n:
-        raise CliError(f"logical index {index} out of range")
-    psi[index] = 1.0
-    state = encode(psi, code, grid)
+    state = encode(_logical_input(args), code, grid)
     save_state(state, args.out)
     nonzero = int(np.count_nonzero(np.abs(state.amplitudes) > 1e-12))
     sys.stdout.write(
@@ -117,9 +118,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 def cmd_cycle(args: argparse.Namespace) -> int:
     code = get_code(args.code)
     grid = GridSpec(args.grid_n, code.mode_count)
-    psi = np.zeros(args.grid_n, dtype=np.complex128)
-    index = grid.center_index if args.logical_index is None else args.logical_index
-    psi[index] = 1.0
+    psi = _logical_input(args)
     if args.kernel_width is not None:
         error = ErrorSpec.convolution(args.mode, args.kernel_width * grid.dx)
     else:

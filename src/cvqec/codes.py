@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .gates import Circuit, apply_circuit, fourier, sum_gate, sum_inv
 from .grid import GridError, GridSpec, MultiModeState, make_product_state, state_from_wavefunctions
 from .symplectic import (
     Nullifier,
-    derive_nullifiers,
+    ancilla_images,
     encoder_images,
     measurement_basis,
     syndrome_matrix,
@@ -65,13 +65,41 @@ class CodeSpec:
         if np.linalg.matrix_rank(self.syndrome_matrix(), tol=1e-9) != self.mode_count - 1:
             raise ValueError("nullifiers are linearly dependent")
 
+    @classmethod
+    def from_encoder(cls, name: str, encoder: Circuit) -> "CodeSpec":
+        """The code an encoder defines: logical mode 0, every other mode a
+        zero-position ancilla, nullifiers the encoder images of the ancilla
+        positions.  The syndrome circuits measure the equivalent
+        :func:`~cvqec.symplectic.measurement_basis`; when none exists the raw
+        images are kept, which the rank-based checks accept as they are."""
+        m = encoder.mode_count
+        ancillae = tuple(range(1, m))
+        raw = tuple(ancilla_images(encoder, ancillae))
+        try:
+            nullifiers = tuple(measurement_basis(raw, m))
+        except ValueError:
+            nullifiers = raw
+        counts = encoder.gate_counts()
+        return cls(
+            name=name,
+            mode_count=m,
+            encoder=encoder,
+            ancilla_modes=ancillae,
+            nullifiers=nullifiers,
+            raw_nullifiers=raw,
+            metadata={"gate_counts": counts, "sum_type_gates": counts["Sum"] + counts["SumInv"]},
+        )
+
     def syndrome_matrix(self) -> np.ndarray:
         return syndrome_matrix(self.nullifiers)
 
+    @cached_property
     def logical_forms(self) -> np.ndarray:
-        """Encoder images of the logical x and p forms (2 x 2M)."""
+        """Encoder images of the logical x and p forms (2 x 2M, read-only)."""
         rows = encoder_images(self.encoder)
-        return rows[[self.logical_mode, self.mode_count + self.logical_mode], :]
+        forms = rows[[self.logical_mode, self.mode_count + self.logical_mode], :]
+        forms.flags.writeable = False
+        return forms
 
     def to_json(self) -> str:
         payload = {
@@ -86,34 +114,11 @@ class CodeSpec:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _make_code(name: str, encoder: Circuit) -> CodeSpec:
-    from types import SimpleNamespace
-
-    m = encoder.mode_count
-    ancillae = tuple(range(1, m))
-    skeleton = SimpleNamespace(
-        mode_count=m, encoder=encoder, logical_mode=0, ancilla_modes=ancillae
-    )
-    raw = derive_nullifiers(skeleton)
-    canonical = measurement_basis(raw, m)
-    counts = encoder.gate_counts()
-    return CodeSpec(
-        name=name,
-        mode_count=m,
-        encoder=encoder,
-        logical_mode=0,
-        ancilla_modes=ancillae,
-        nullifiers=tuple(canonical),
-        raw_nullifiers=tuple(raw),
-        metadata={"gate_counts": counts, "sum_type_gates": counts["Sum"] + counts["SumInv"]},
-    )
-
-
 @lru_cache(maxsize=None)
 def build_repetition3() -> CodeSpec:
     """Three-mode position repetition subcode |x> -> |x, x, x>."""
     encoder = Circuit(3, (sum_gate(0, 1), sum_gate(0, 2)))
-    return _make_code("repetition3", encoder)
+    return CodeSpec.from_encoder("repetition3", encoder)
 
 
 @lru_cache(maxsize=None)
@@ -133,7 +138,7 @@ def build_shor9() -> CodeSpec:
         sum_gate(6, 7),
         sum_gate(6, 8),
     )
-    return _make_code("shor9", Circuit(9, gates))
+    return CodeSpec.from_encoder("shor9", Circuit(9, gates))
 
 
 #: Sum-gate count of the earlier higher-spin construction of an equivalent
@@ -162,7 +167,7 @@ def build_braunstein5() -> CodeSpec:
         sum_inv(0, 4),
         sum_inv(0, 3),
     )
-    return _make_code("braunstein5", Circuit(5, gates))
+    return CodeSpec.from_encoder("braunstein5", Circuit(5, gates))
 
 
 BUILTIN_CODES = {

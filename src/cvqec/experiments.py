@@ -9,6 +9,7 @@ counts for a fixed config.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -48,8 +49,8 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if any(s < 0 for s in self.sigmas):
-            raise ConfigError("sigma must be >= 0")
+        if any(not math.isfinite(s) or s < 0 for s in self.sigmas):
+            raise ConfigError(f"sigma must be finite and >= 0, got {self.sigmas}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
 

@@ -154,16 +154,24 @@ def measure_position(
     total = probs.sum()
     if not math.isclose(total, 1.0, abs_tol=1e-6):
         raise GridError(f"state not normalized (norm^2 = {total})")
-    outcome = int(rng.choice(state.grid.n_points, p=probs / total))
-    idx = [slice(None)] * state.grid.mode_count
-    idx[mode] = outcome
-    sliced = state.tensor[tuple(idx)]
-    n = np.linalg.norm(sliced)
-    if n == 0:
-        raise RuntimeError("sampled outcome has zero-norm slice")
-    tensor = np.zeros_like(state.tensor)
-    tensor[tuple(idx)] = sliced / n
+    labels = _along_axis(np.arange(state.grid.n_points), mode, state.grid.mode_count)
+    outcome, tensor = _sample_and_collapse(state.tensor, probs, labels, rng)
     return outcome, MultiModeState(state.grid, tensor)
+
+
+def _sample_and_collapse(
+    work: np.ndarray, prob: np.ndarray, labels: np.ndarray, rng: np.random.Generator
+) -> tuple[int, np.ndarray]:
+    """Born rule: draw outcome k with probability prob[k] / sum(prob) from one
+    ``rng.random()`` double, then keep the amplitudes of ``work`` whose label
+    (broadcast against ``work``) equals k and renormalize them."""
+    cum = np.cumsum(prob)
+    outcome = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+    collapsed = work * (labels == outcome)
+    norm = np.sqrt(np.sum(collapsed.real**2 + collapsed.imag**2))
+    if norm == 0:
+        raise RuntimeError("sampled outcome has zero probability mass")
+    return outcome, collapsed / norm
 
 
 def apply_displacement(
@@ -304,22 +312,34 @@ def _form_plan(grid: GridSpec, coeffs: np.ndarray) -> tuple[tuple[int, ...], np.
     return plan
 
 
-def form_value_distribution(state: MultiModeState, coeffs: np.ndarray) -> np.ndarray:
-    """Born distribution of the wrapped value of a friendly quadrature form.
-
-    Entry ``k`` is the probability of reading the value (k - N/2) * dx.
-    """
+def _rotated_histogram(
+    state: MultiModeState, coeffs: np.ndarray
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """Rotate the form's momentum modes into position and histogram |psi|^2
+    by wrapped form value: (momentum modes, value labels, rotated tensor,
+    probabilities)."""
     from .gates import apply_fourier  # local import to avoid a module cycle
 
     momentum_modes, grp = _form_plan(state.grid, coeffs)
     work = state.tensor
     for m in momentum_modes:
         work = apply_fourier(work, m, state.grid.n_points, inverse=True)
+    return momentum_modes, grp, work, _histogram(work, grp, state.grid.n_points)
+
+
+def _histogram(work: np.ndarray, labels: np.ndarray, size: int) -> np.ndarray:
+    """Born weight |work|^2 summed per outcome label."""
     return np.bincount(
-        grp.reshape(-1),
-        weights=(work.real**2 + work.imag**2).reshape(-1),
-        minlength=state.grid.n_points,
+        labels.reshape(-1), weights=(work.real**2 + work.imag**2).reshape(-1), minlength=size
     )
+
+
+def form_value_distribution(state: MultiModeState, coeffs: np.ndarray) -> np.ndarray:
+    """Born distribution of the wrapped value of a friendly quadrature form.
+
+    Entry ``k`` is the probability of reading the value (k - N/2) * dx.
+    """
+    return _rotated_histogram(state, coeffs)[3]
 
 
 def measure_form(
@@ -328,24 +348,95 @@ def measure_form(
     """Projectively measure a friendly quadrature form; return (value, collapsed)."""
     from .gates import apply_fourier
 
-    momentum_modes, grp = _form_plan(state.grid, coeffs)
-    n = state.grid.n_points
-    work = state.tensor
-    for m in momentum_modes:
-        work = apply_fourier(work, m, n, inverse=True)
-    prob = np.bincount(
-        grp.reshape(-1), weights=(work.real**2 + work.imag**2).reshape(-1), minlength=n
-    )
-    cum = np.cumsum(prob)
-    outcome = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    collapsed = work * (grp == outcome)
-    cn = np.sqrt(np.sum(collapsed.real**2 + collapsed.imag**2))
-    if cn == 0:
-        raise RuntimeError("sampled outcome has zero probability mass")
-    collapsed = collapsed / cn
+    momentum_modes, grp, work, prob = _rotated_histogram(state, coeffs)
+    outcome, collapsed = _sample_and_collapse(work, prob, grp, rng)
     for m in reversed(momentum_modes):
-        collapsed = apply_fourier(collapsed, m, n, inverse=False)
+        collapsed = apply_fourier(collapsed, m, state.grid.n_points, inverse=False)
     return state.grid.value_of(outcome), MultiModeState(state.grid, collapsed)
+
+
+_JOINT_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _joint_position_plan(
+    grid: GridSpec, forms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Mixed-radix group array and outcome-to-values table for a set of
+    position-only forms, measurable in one joint projection; None when any
+    form carries momentum.
+
+    Only an integer-independent subset of the rows enters the joint radix;
+    rows that are integer combinations of earlier ones (the redundant third
+    pairwise difference is one) have their wrapped values reconstructed from
+    the sampled outcome, which is exact on the cyclic grid.
+    """
+    m = forms.shape[1] // 2
+    if np.any(np.abs(forms[:, m:]) > 1e-12):
+        return None
+    key = (grid.n_points, grid.mode_count, forms.tobytes())
+    hit = _JOINT_CACHE.get(key)
+    if hit is not None:
+        return hit
+    n = grid.n_points
+    c0 = grid.center_index
+    basis: list[np.ndarray] = []
+    combos: list[tuple[int, np.ndarray | None]] = []  # (basis index or -1, combo)
+    for row in forms:
+        if basis:
+            a = np.array(basis).T
+            sol, *_ = np.linalg.lstsq(a, row, rcond=None)
+            if (
+                np.linalg.norm(a @ sol - row) < 1e-9
+                and np.all(np.abs(sol - np.round(sol)) < 1e-9)
+            ):
+                combos.append((-1, np.round(sol)))
+                continue
+        basis.append(row)
+        combos.append((len(basis) - 1, None))
+    joint = np.zeros((n,) * grid.mode_count, dtype=np.int64)
+    radix = 1
+    radices = []
+    for row in basis:
+        _, grp = _form_plan(grid, row)
+        joint = joint + grp * radix
+        radices.append(radix)
+        radix *= n
+    outcomes = np.arange(radix)
+    basis_vals = np.empty((len(basis), radix))
+    for i, r in enumerate(radices):
+        basis_vals[i] = ((outcomes // r) % n - c0) * grid.dx
+    values = np.empty((len(forms), radix))
+    for i, (bi, combo) in enumerate(combos):
+        if bi >= 0:
+            values[i] = basis_vals[bi]
+        else:
+            raw = combo @ basis_vals[: len(combo)]
+            values[i] = (np.mod(raw / grid.dx + c0, n) - c0) * grid.dx
+    plan = (joint, values)
+    _JOINT_CACHE[key] = plan
+    return plan
+
+
+def measure_forms(
+    state: MultiModeState, forms: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, MultiModeState]:
+    """Projectively measure every row of ``forms`` (K x 2M friendly forms) in
+    order; return (K wrapped values, collapsed state).
+
+    Position-only form sets are sampled jointly in one projection, which has
+    the same joint law as measuring them one at a time (they commute); any
+    momentum term sends every row through :func:`measure_form`.
+    """
+    joint = _joint_position_plan(state.grid, forms)
+    if joint is None:
+        values = np.empty(len(forms))
+        for i, row in enumerate(forms):
+            values[i], state = measure_form(state, row, rng)
+        return values, state
+    grp, table = joint
+    prob = _histogram(state.tensor, grp, table.shape[1])
+    outcome, collapsed = _sample_and_collapse(state.tensor, prob, grp, rng)
+    return table[:, outcome].copy(), MultiModeState(state.grid, collapsed)
 
 
 def _along_axis(vec: np.ndarray, axis: int, ndim: int) -> np.ndarray:

@@ -135,6 +135,12 @@ def encoder_images(circuit: Circuit) -> np.ndarray:
     return np.linalg.inv(s)
 
 
+def ancilla_images(encoder: Circuit, ancilla_modes: Sequence[int]) -> list[Nullifier]:
+    """Encoder images of the position forms x_a of the given ancilla modes."""
+    rows = encoder_images(encoder)
+    return [Nullifier(tuple(rows[a, :])) for a in ancilla_modes]
+
+
 def derive_nullifiers(code: "CodeSpec") -> list[Nullifier]:
     """Encoder images of each ancilla's position form x_a.
 
@@ -146,8 +152,7 @@ def derive_nullifiers(code: "CodeSpec") -> list[Nullifier]:
         m for m in range(code.mode_count) if m != code.logical_mode
     ]:
         raise ValueError("ancilla set inconsistent with circuit mode count")
-    rows = encoder_images(code.encoder)
-    return [Nullifier(tuple(rows[a, :])) for a in code.ancilla_modes]
+    return ancilla_images(code.encoder, code.ancilla_modes)
 
 
 def measurement_basis(nullifiers: Sequence[Nullifier], m_modes: int) -> list[Nullifier]:
@@ -338,7 +343,7 @@ def decode_syndrome(
         raise UnrecognizedSyndromeError(
             f"no single-mode displacement matches (best residual {best_res:.3e})"
         )
-    logical = code.logical_forms()
+    logical = code.logical_forms
     syn = code.syndrome_matrix()
     tie_window = 1e-9 * max(scale, 1.0)
     for res, cand in matches[1:]:

@@ -5,10 +5,13 @@ ancilla per measured form, Sum/SumInv gates accumulating the signed position
 sum into the ancilla (momentum terms are picked up by conjugating the involved
 data mode with Fourier gates around the accumulation), then a position readout
 of each ancilla.  :func:`build_syndrome_circuit` constructs that explicit
-circuit; :func:`extract_syndrome` uses the mathematically identical projective
-route on the data modes only, which avoids materializing N**(M+K) amplitudes.
-The two routes agree exactly and the test suite checks them against each other
-at small N.
+circuit and :func:`extract_syndrome_via_ancillas` runs it, as the oracle.
+:func:`extract_syndrome` takes the mathematically identical projective route
+on the data modes only, through :func:`cvqec.grid.measure_forms`, which avoids
+materializing N**(M+K) amplitudes.  Both routes sample and collapse through
+the grid module's single Born rule and are cross-checked at small N.  The
+forms are the nullifiers :meth:`cvqec.codes.CodeSpec.from_encoder` derives
+(cyclic position differences for the repetition code).
 
 Measurement imprecision enters purely classically: the collapse happens at
 full grid precision and the recorded value is the true value plus noise drawn
@@ -17,6 +20,7 @@ from the measurement model, averaged over the model's repetition count.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -24,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codes import CodeSpec, encode
+from .codes import CodeSpec, build_repetition3, encode
 from .gates import Circuit, Gate, apply_circuit, fourier, fourier_inv, sum_gate, sum_inv
 from .grid import (
     GridError,
@@ -34,7 +38,9 @@ from .grid import (
     apply_kernel_convolution,
     fidelity,
     gaussian_kernel,
-    measure_form,
+    make_product_state,
+    measure_forms,
+    measure_position,
     reduced_density,
 )
 from .symplectic import DecodeError, DisplacementError
@@ -69,8 +75,8 @@ class MeasurementModel:
     def __post_init__(self) -> None:
         if self.kind not in ("exact", "gaussian", "custom"):
             raise ValueError(f"unknown measurement model kind {self.kind!r}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not math.isfinite(self.sigma) or self.sigma < 0:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.kind == "custom":
@@ -227,68 +233,6 @@ class SyndromeRecord:
         )
 
 
-_JOINT_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _joint_position_plan(grid, forms: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Mixed-radix group array and outcome-to-values table for a set of
-    position-only forms, measurable in one joint projection; None when any
-    form carries momentum.
-
-    Only an integer-independent subset of the rows enters the joint radix;
-    rows that are integer combinations of earlier ones (the redundant third
-    pairwise difference is one) have their wrapped values reconstructed from
-    the sampled outcome, which is exact on the cyclic grid.
-    """
-    m = forms.shape[1] // 2
-    if np.any(np.abs(forms[:, m:]) > 1e-12):
-        return None
-    key = (grid.n_points, grid.mode_count, forms.tobytes())
-    hit = _JOINT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    from .grid import _form_plan
-
-    n = grid.n_points
-    c0 = grid.center_index
-    basis: list[np.ndarray] = []
-    combos: list[tuple[int, np.ndarray | None]] = []  # (basis index or -1, combo)
-    for row in forms:
-        if basis:
-            a = np.array(basis).T
-            sol, *_ = np.linalg.lstsq(a, row, rcond=None)
-            if (
-                np.linalg.norm(a @ sol - row) < 1e-9
-                and np.all(np.abs(sol - np.round(sol)) < 1e-9)
-            ):
-                combos.append((-1, np.round(sol)))
-                continue
-        basis.append(row)
-        combos.append((len(basis) - 1, None))
-    joint = np.zeros((n,) * grid.mode_count, dtype=np.int64)
-    radix = 1
-    radices = []
-    for row in basis:
-        _, grp = _form_plan(grid, row)
-        joint = joint + grp * radix
-        radices.append(radix)
-        radix *= n
-    outcomes = np.arange(radix)
-    basis_vals = np.empty((len(basis), radix))
-    for i, r in enumerate(radices):
-        basis_vals[i] = ((outcomes // r) % n - c0) * grid.dx
-    values = np.empty((len(forms), radix))
-    for i, (bi, combo) in enumerate(combos):
-        if bi >= 0:
-            values[i] = basis_vals[bi]
-        else:
-            raw = combo @ basis_vals[: len(combo)]
-            values[i] = (np.mod(raw / grid.dx + c0, n) - c0) * grid.dx
-    plan = (joint, values)
-    _JOINT_CACHE[key] = plan
-    return plan
-
-
 def extract_syndrome(
     state: MultiModeState,
     code: CodeSpec,
@@ -299,32 +243,14 @@ def extract_syndrome(
     """Born-sample every syndrome form (collapsing the state), then apply the
     measurement model's classical noise to produce the reported values.
 
-    Uses the projective route on the data modes, exactly equivalent to running
-    the explicit ancilla circuit from :func:`build_syndrome_circuit` and
-    reading the ancillae out (values wrap mod N like a cyclic ancilla does).
-    Position-only form sets are sampled jointly in one projection, which has
-    the same joint law as measuring them one at a time (they commute).
+    Uses the projective route on the data modes (:func:`cvqec.grid.measure_forms`),
+    exactly equivalent to running the explicit ancilla circuit from
+    :func:`build_syndrome_circuit` and reading the ancillae out (values wrap
+    mod N like a cyclic ancilla does).
     """
     if plan is None:
         plan = build_syndrome_circuit(code)
-    joint = _joint_position_plan(state.grid, plan.forms)
-    if joint is not None:
-        grp, values = joint
-        t = state.tensor
-        prob = np.bincount(
-            grp.reshape(-1), weights=(t.real**2 + t.imag**2).reshape(-1),
-            minlength=values.shape[1],
-        )
-        cum = np.cumsum(prob)
-        outcome = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        collapsed = t * (grp == outcome)
-        collapsed /= np.sqrt(np.sum(collapsed.real**2 + collapsed.imag**2))
-        true_vals = values[:, outcome].copy()
-        state = MultiModeState(state.grid, collapsed)
-    else:
-        true_vals = np.empty(len(plan.forms))
-        for i, row in enumerate(plan.forms):
-            true_vals[i], state = measure_form(state, row, rng)
+    true_vals, state = measure_forms(state, plan.forms, rng)
     reported = np.array([v + model.sample_noise(rng) for v in true_vals])
     record = SyndromeRecord(true_vals, reported, tuple(range(len(plan.forms))), plan.forms)
     return record, state
@@ -341,8 +267,6 @@ def extract_syndrome_via_ancillas(
     Memory scales as N**(M+K); intended for small-N cross-validation of
     :func:`extract_syndrome`.
     """
-    from .grid import make_product_state, measure_position
-
     plan = build_syndrome_circuit(code)
     n = state.grid.n_points
     total = plan.circuit.mode_count
@@ -547,12 +471,15 @@ def estimator_gain(code: CodeSpec, error_mode: int, plan: SyndromePlan | None = 
     """Std-dev factor mapping per-readout noise to the position estimate for a
     known error mode: the norm of the e_x row of the pseudo-inverse of that
     mode's form columns."""
+    return float(np.linalg.norm(_estimator_row(code, error_mode, plan)))
+
+
+def _estimator_row(code: CodeSpec, error_mode: int, plan: SyndromePlan | None = None) -> np.ndarray:
+    """Weights of the readouts in the decoder's e_x estimate for one mode."""
     if plan is None:
         plan = build_syndrome_circuit(code)
     m = code.mode_count
-    block = plan.forms[:, [error_mode, m + error_mode]]
-    pinv = np.linalg.pinv(block)
-    return float(np.linalg.norm(pinv[0, :]))
+    return np.linalg.pinv(plan.forms[:, [error_mode, m + error_mode]])[0, :]
 
 
 def residual_shift_distribution(
@@ -594,20 +521,15 @@ def residual_shift_distribution(
     # custom table: enumerate offset tuples over the readouts feeding the estimate
     if model.repetitions != 1:
         raise ValueError("custom-model prediction supports repetitions == 1 only")
-    plan = build_syndrome_circuit(code)
-    m = code.mode_count
-    block = plan.forms[:, [error_mode, m + error_mode]]
-    g = np.linalg.pinv(block)[0, :]
+    g = _estimator_row(code, error_mode)
     probs = (
         np.asarray(model.probabilities)
         if model.probabilities is not None
         else np.full(len(model.offsets), 1.0 / len(model.offsets))
     )
-    import itertools as _it
-
     if len(model.offsets) ** len(g) > 200_000:
         raise ValueError("custom offset table too large to enumerate")
-    for combo in _it.product(range(len(model.offsets)), repeat=len(g)):
+    for combo in itertools.product(range(len(model.offsets)), repeat=len(g)):
         p = float(np.prod(probs[list(combo)]))
         shift = float(np.dot(g, [model.offsets[i] for i in combo]))
         k = int(round(shift / grid.dx))
@@ -630,8 +552,6 @@ def decoherence_prediction(
     A delta-like model returns the pure input projector; noise wide compared to
     the wavefunction's coherence length suppresses the off-diagonal terms.
     """
-    from .codes import build_repetition3
-
     if code is None:
         code = build_repetition3()
     psi = np.asarray(logical_wavefunction, dtype=np.complex128)

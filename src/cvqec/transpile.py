@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codes import CodeSpec, _make_code, encode, parity_permute
+from .codes import CodeSpec, encode, parity_permute
 from .gates import Circuit, Gate
 from .grid import GridSpec, fidelity
 from .symplectic import CorrectabilityReport, check_correctability
@@ -89,10 +89,7 @@ def parse_qubit_circuit(text: str) -> QubitCircuit:
             gates.append(QubitGate(kind, qubits))
         except QubitCircuitError as exc:
             raise QubitCircuitError(f"gate {pos}: {exc}") from exc
-    try:
-        return QubitCircuit(int(payload[count_key]), tuple(gates))
-    except QubitCircuitError as exc:
-        raise QubitCircuitError(str(exc)) from exc
+    return QubitCircuit(int(payload[count_key]), tuple(gates))
 
 
 #: Built-in five-qubit encoder fixture.  Its three-qubit blocks are already
@@ -171,44 +168,17 @@ class AssignmentVerdict:
 def candidate_code(qc: QubitCircuit, assignment: Sequence[bool]) -> CodeSpec:
     """CodeSpec for one substitution candidate (nullifiers kept in raw form if
     no measurement-friendly basis exists)."""
-    encoder = substitute(qc, assignment)
-    try:
-        return _make_code("candidate", encoder)
-    except ValueError:
-        # fall back to raw nullifiers; rank checks do not need the friendly basis
-        from .symplectic import derive_nullifiers
-        from types import SimpleNamespace
-
-        m = encoder.mode_count
-        skeleton = SimpleNamespace(
-            mode_count=m, encoder=encoder, logical_mode=0,
-            ancilla_modes=tuple(range(1, m)),
-        )
-        raw = derive_nullifiers(skeleton)
-        counts = encoder.gate_counts()
-        return CodeSpec(
-            name="candidate",
-            mode_count=m,
-            encoder=encoder,
-            logical_mode=0,
-            ancilla_modes=tuple(range(1, m)),
-            nullifiers=tuple(raw),
-            raw_nullifiers=tuple(raw),
-            metadata={"gate_counts": counts},
-        )
+    return CodeSpec.from_encoder("candidate", substitute(qc, assignment))
 
 
 def parity_covariant(code: CodeSpec, grid_n: int = 8, tol: float = 1e-9) -> bool:
     """Grid reading of the parity filter: for every eigenstate index j,
     parity(encode|x_j>) must match encode|x_{-j}> up to global phase."""
     grid = GridSpec(grid_n, 1)
+    eigenstates = np.eye(grid_n, dtype=np.complex128)
     for j in range(grid_n):
-        psi = np.zeros(grid_n, dtype=np.complex128)
-        psi[j] = 1.0
-        left = parity_permute(encode(psi, code, grid))
-        psi2 = np.zeros(grid_n, dtype=np.complex128)
-        psi2[(grid_n - j) % grid_n] = 1.0
-        right = encode(psi2, code, grid)
+        left = parity_permute(encode(eigenstates[j], code, grid))
+        right = encode(eigenstates[(grid_n - j) % grid_n], code, grid)
         if fidelity(left, right) < 1 - tol:
             return False
     return True

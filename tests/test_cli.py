@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from cvqec.cli import main
 from cvqec import load_state
@@ -188,3 +189,36 @@ def test_bad_sweep_config_is_usage_error(tmp_path, capsys):
     path.write_text('{"code": "repetition3"}')
     assert run_cli(["sweep", "--config", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["encode", "cycle"])
+@pytest.mark.parametrize("index", ["99", "-1"])
+def test_out_of_range_logical_index_is_usage_error(tmp_path, capsys, command, index):
+    argv = [command, "--code", "repetition3", "--grid-n", "8", "--logical-index", index]
+    if command == "encode":
+        argv += ["--out", str(tmp_path / "x")]
+    assert run_cli(argv) == 2
+    assert f"logical index {index} out of range" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+def test_bad_sigma_is_usage_error(tmp_path, capsys, sigma):
+    assert run_cli(["cycle", "--code", "repetition3", "--grid-n", "8",
+                    "--shift", "1", "--sigma", sigma]) == 2
+    assert "sigma must be finite and >= 0" in capsys.readouterr().err
+    enc = tmp_path / "enc"
+    assert run_cli(["encode", "--code", "repetition3", "--grid-n", "8",
+                    "--out", str(enc)]) == 0
+    capsys.readouterr()
+    assert run_cli(["decode", "--code", "repetition3", "--in", str(enc),
+                    "--sigma", sigma]) == 2
+    assert "sigma must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_nan_sigma_in_sweep_config_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"code": "repetition3", "grid_n": 8, "sigmas": [0.0, NaN], '
+                    '"trials": 2, "seed": 1}')
+    assert run_cli(["sweep", "--config", str(path)]) == 2
+    assert "sigma must be finite" in capsys.readouterr().err

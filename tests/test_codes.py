@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cvqec import (
+    CodeSpec,
     GridSpec,
     UnsupportedCodeError,
     apply_displacement,
@@ -16,6 +17,7 @@ from cvqec import (
     get_code,
     make_product_state,
     measure_position,
+    omega_matrix,
     parity_permute,
 )
 from cvqec.codes import BASELINE_SUM_GATE_COUNT
@@ -56,6 +58,26 @@ def test_braunstein5_structure():
     assert code.metadata["sum_type_gates"] < BASELINE_SUM_GATE_COUNT
     assert code.encoder.gate_counts()["F"] == 3
     assert len(code.nullifiers) == 4
+
+
+@pytest.mark.parametrize("builder", [build_repetition3, build_shor9, build_braunstein5])
+def test_builtin_codes_are_their_encoders_codes(builder):
+    code = builder()
+    assert CodeSpec.from_encoder(code.name, code.encoder) == code
+    assert code.metadata["sum_type_gates"] == (
+        code.metadata["gate_counts"]["Sum"] + code.metadata["gate_counts"]["SumInv"]
+    )
+
+
+def test_logical_forms_computed_once_and_read_only():
+    code = build_braunstein5()
+    forms = code.logical_forms
+    assert forms is code.logical_forms
+    assert forms.shape == (2, 10)
+    with pytest.raises(ValueError):
+        forms[0, 0] = 7.0
+    # encoder images of the logical quadratures commute with every nullifier
+    assert np.allclose(forms @ omega_matrix(5) @ code.syndrome_matrix().T, 0.0)
 
 
 def test_get_code_lookup():

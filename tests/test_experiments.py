@@ -1,0 +1,25 @@
+import json
+import math
+
+import pytest
+
+from cvqec.experiments import ConfigError, SweepConfig
+
+BASE = {"code": "repetition3", "grid_n": 8, "sigmas": [0.0, 1.0], "trials": 2, "seed": 1}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_sweep_config_rejects_bad_sigma(bad):
+    with pytest.raises(ConfigError, match="finite"):
+        SweepConfig(code="repetition3", grid_n=8, sigmas=[0.0, bad], trials=2, seed=1)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-1"])
+def test_sweep_config_json_rejects_bad_sigma(literal):
+    text = json.dumps(BASE).replace("[0.0, 1.0]", f"[0.0, {literal}]")
+    with pytest.raises(ConfigError, match="finite"):
+        SweepConfig.from_json(text)
+
+
+def test_sweep_config_json_accepts_valid_sigmas():
+    assert SweepConfig.from_json(json.dumps(BASE)).sigmas == [0.0, 1.0]

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from cvqec import (
     GridError,
     GridSpec,
+    MultiModeState,
     apply_circuit,
     apply_displacement,
     apply_gate,
@@ -110,6 +113,37 @@ def test_measure_position_deterministic_for_basis_vector():
     assert fidelity(post, st) == pytest.approx(1.0)
     idx2, _ = measure_position(post, 1, rng)
     assert idx2 == idx  # projection idempotence
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=hs.sampled_from([2, 4, 8]),
+    m=hs.integers(1, 3),
+    mode_pick=hs.integers(0, 2),
+    state_seed=hs.integers(0, 2**32 - 1),
+    rng_seed=hs.integers(0, 2**32 - 1),
+    sparse=hs.booleans(),
+)
+def test_measure_position_samples_like_rng_choice(n, m, mode_pick, state_seed, rng_seed, sparse):
+    # the Born sampler picks the index rng.choice picks from the same stream,
+    # and consumes exactly the one double rng.choice does
+    mode = mode_pick % m
+    tensor = random_state(n, m, state_seed)
+    if sparse:  # zero-probability outcomes along the measured axis
+        keep = np.random.default_rng(state_seed).random(n) < 0.5
+        keep[n // 2] = True
+        shape = [1] * m
+        shape[mode] = n
+        tensor = tensor * keep.reshape(shape)
+        tensor = tensor / np.linalg.norm(tensor)
+    state = MultiModeState(GridSpec(n, m), tensor)
+    probs = position_distribution(state, mode)
+    ours, theirs = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
+    idx, post = measure_position(state, mode, ours)
+    assert idx == int(theirs.choice(n, p=probs / probs.sum()))
+    assert ours.random() == theirs.random()
+    assert post.norm() == pytest.approx(1.0)
+    assert position_distribution(post, mode)[idx] == pytest.approx(1.0)
 
 
 def test_measure_after_sum_reads_the_sum():

@@ -51,6 +51,9 @@ def test_model_validation():
         MeasurementModel("weird")
     with pytest.raises(ValueError):
         MeasurementModel.gaussian(-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementModel.gaussian(bad)
     with pytest.raises(ValueError):
         MeasurementModel.gaussian(1.0, repetitions=0)
     with pytest.raises(ValueError):

@@ -140,6 +140,16 @@ def test_every_valid_candidate_encodes_a_working_code():
         assert fidelity(ea, eb) < 1e-10
 
 
+def test_candidates_without_friendly_basis_keep_raw_rows_and_full_metadata():
+    qc = builtin_five_qubit_circuit()
+    verdicts = enumerate_valid_assignments(qc, grid_n=8)
+    codes = [candidate_code(qc, v.assignment) for v in verdicts]
+    raw = [c for c in codes if c.nullifiers == c.raw_nullifiers]
+    assert len(raw) == 12
+    for c in codes:
+        assert c.metadata == {"gate_counts": c.encoder.gate_counts(), "sum_type_gates": 7}
+
+
 def test_degenerate_toy_circuit():
     qc = QubitCircuit(2, (QubitGate("XOR", (0, 1)),))
     verdicts = enumerate_valid_assignments(qc, grid_n=8)
