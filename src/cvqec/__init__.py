@@ -35,8 +35,8 @@ from .grid import (
     gaussian_kernel,
     load_state,
     make_product_state,
-    measure_form,
     measure_position,
+    measure_positions,
     position_distribution,
     reduced_density,
     save_state,

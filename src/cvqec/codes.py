@@ -87,7 +87,7 @@ class CodeSpec:
             ancilla_modes=ancillae,
             nullifiers=nullifiers,
             raw_nullifiers=raw,
-            metadata={"gate_counts": counts, "sum_type_gates": counts["Sum"] + counts["SumInv"]},
+            metadata={"gate_counts": counts, "sum_type_gates": encoder.sum_type_count()},
         )
 
     def syndrome_matrix(self) -> np.ndarray:

@@ -44,7 +44,6 @@ class SweepConfig:
     logical: dict = field(default_factory=lambda: {"kind": "eigenstate", "index": None})
     error: dict = field(default_factory=lambda: {"kind": "displacement", "mode": 0, "shift": 2})
     decode_modes: list[int] | None = None
-    sigma_unit_dx: bool = True
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -53,6 +52,10 @@ class SweepConfig:
             raise ConfigError(f"sigma must be finite and >= 0, got {self.sigmas}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        try:
+            error_from_config(self.error)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad error spec: {exc}") from exc
 
     @staticmethod
     def from_json(text: str) -> "SweepConfig":
@@ -112,7 +115,7 @@ def error_from_config(spec: dict, dx: float = 1.0) -> ErrorSpec:
         return ErrorSpec.none()
     if kind == "displacement":
         return ErrorSpec.displacement(
-            int(spec.get("mode", 0)), int(spec.get("shift", 0)),
+            int(spec.get("mode", 0)), spec.get("shift", 0),
             float(spec.get("kick", 0.0)) * dx,
         )
     if kind == "convolution":
@@ -163,7 +166,7 @@ def run_sweep(
     rows = []
     workers = thread_count()
     for si, sigma_dx in enumerate(sorted(config.sigmas)):
-        sigma = sigma_dx * grid.dx if config.sigma_unit_dx else sigma_dx
+        sigma = sigma_dx * grid.dx
         model = (
             MeasurementModel.exact()
             if sigma == 0

@@ -140,38 +140,65 @@ def fidelity(a: MultiModeState, b: MultiModeState) -> float:
 
 def position_distribution(state: MultiModeState, mode: int) -> np.ndarray:
     """Marginal Born probabilities of the position of one mode."""
-    _check_mode(state.grid, mode)
+    return _joint_position_distribution(state, (mode,))
+
+
+def _joint_position_distribution(state: MultiModeState, modes: tuple[int, ...]) -> np.ndarray:
+    """Joint Born probabilities of the positions of ``modes``, axis i for modes[i]."""
+    _check_modes(state.grid, modes)
     p = np.abs(state.tensor) ** 2
-    axes = tuple(ax for ax in range(state.grid.mode_count) if ax != mode)
-    return p.sum(axis=axes)
+    axes = tuple(ax for ax in range(state.grid.mode_count) if ax not in modes)
+    order = sorted(modes)
+    return p.sum(axis=axes).transpose([order.index(m) for m in modes])
 
 
 def measure_position(
     state: MultiModeState, mode: int, rng: np.random.Generator
 ) -> tuple[int, MultiModeState]:
     """Sample a position outcome for one mode and collapse onto it."""
-    probs = position_distribution(state, mode)
+    (outcome,), collapsed = measure_positions(state, (mode,), rng)
+    return outcome, collapsed
+
+
+def measure_positions(
+    state: MultiModeState, modes: Sequence[int], rng: np.random.Generator
+) -> tuple[tuple[int, ...], MultiModeState]:
+    """Jointly sample the positions of several modes and collapse onto them.
+
+    One ``rng.random()`` double picks the outcome over the row-major flat
+    index of the measured axes taken in the order ``modes`` lists them; for a
+    single mode that is the index ``rng.choice(N, p=...)`` would pick.
+    Returns the grid index of each measured mode and the collapsed state.
+    """
+    modes = tuple(modes)
+    probs = _joint_position_distribution(state, modes)
     total = probs.sum()
     if not math.isclose(total, 1.0, abs_tol=1e-6):
         raise GridError(f"state not normalized (norm^2 = {total})")
-    labels = _along_axis(np.arange(state.grid.n_points), mode, state.grid.mode_count)
-    outcome, tensor = _sample_and_collapse(state.tensor, probs, labels, rng)
-    return outcome, MultiModeState(state.grid, tensor)
+    indices, tensor = _sample_and_collapse(state.tensor, probs, modes, rng)
+    return indices, MultiModeState(state.grid, tensor)
 
 
 def _sample_and_collapse(
-    work: np.ndarray, prob: np.ndarray, labels: np.ndarray, rng: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """Born rule: draw outcome k with probability prob[k] / sum(prob) from one
-    ``rng.random()`` double, then keep the amplitudes of ``work`` whose label
-    (broadcast against ``work``) equals k and renormalize them."""
-    cum = np.cumsum(prob)
+    tensor: np.ndarray, probs: np.ndarray, modes: tuple[int, ...], rng: np.random.Generator
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Born rule: draw an outcome of the joint distribution ``probs`` (axis i
+    for ``modes[i]``) from one ``rng.random()`` double over its row-major flat
+    index, then keep the amplitudes of ``tensor`` at that outcome and
+    renormalize them."""
+    cum = np.cumsum(probs.reshape(-1))
     outcome = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    collapsed = work * (labels == outcome)
-    norm = np.sqrt(np.sum(collapsed.real**2 + collapsed.imag**2))
+    indices = tuple(int(j) for j in np.unravel_index(outcome, probs.shape))
+    keep: list = [slice(None)] * tensor.ndim
+    for m, j in zip(modes, indices):
+        keep[m] = j
+    kept = tensor[tuple(keep)]
+    norm = np.sqrt(np.sum(kept.real**2 + kept.imag**2))
     if norm == 0:
         raise RuntimeError("sampled outcome has zero probability mass")
-    return outcome, collapsed / norm
+    collapsed = np.zeros_like(tensor)
+    collapsed[tuple(keep)] = kept / norm
+    return indices, collapsed
 
 
 def apply_displacement(
@@ -235,10 +262,7 @@ def gaussian_kernel(grid: GridSpec, width: float, center: float = 0.0) -> np.nda
 def reduced_density(state: MultiModeState, modes: Sequence[int]) -> np.ndarray:
     """Partial-trace density matrix over a small subset of modes."""
     modes = list(modes)
-    if len(set(modes)) != len(modes):
-        raise GridError("duplicate modes")
-    for m in modes:
-        _check_mode(state.grid, m)
+    _check_modes(state.grid, modes)
     n = state.grid.n_points
     if n > 16 and len(modes) > 1:
         raise GridError("reduced_density limited to one mode for N > 16")
@@ -250,88 +274,16 @@ def reduced_density(state: MultiModeState, modes: Sequence[int]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature-form measurement.
+# Quadrature-form distributions.
 #
-# A linear form f. R = sum_m a_m x_m + b_m p_m with, per mode, either the x or
+# A linear form f . R = sum_m a_m x_m + b_m p_m with, per mode, either the x or
 # the p coefficient zero ("measurement-friendly") is diagonal in the position
-# basis after rotating each momentum-sector mode by an inverse Fourier gate.
-# Measuring it projectively below is exactly equivalent to the textbook route
-# of accumulating the signed sum into a fresh zero-position ancilla with SUM
-# gates and reading the ancilla out: the accumulated value wraps mod N like the
-# ancilla's cyclic position does, and the data state is untouched whenever the
-# form has a sharp value.
+# basis after rotating each momentum-sector mode by an inverse Fourier gate,
+# which gives the Born distribution of its wrapped value (mod N, like the
+# cyclic position of a SUM-gate ancilla).  Syndrome extraction reads the forms
+# off the decoded ancilla positions instead (cvqec.syndrome); this Fourier
+# route is the oracle it is tested against.
 # ---------------------------------------------------------------------------
-
-
-def _friendly_sectors(grid: GridSpec, coeffs: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    m_modes = grid.mode_count
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (2 * m_modes,):
-        raise GridError(f"coefficient vector must have length {2 * m_modes}")
-    eff = np.zeros(m_modes)
-    momentum_modes = []
-    for m in range(m_modes):
-        a, b = coeffs[m], coeffs[m_modes + m]
-        if abs(a) > 1e-12 and abs(b) > 1e-12:
-            raise GridError(
-                f"mode {m} carries both x and p in the same form; not measurable "
-                "by a single ancilla accumulation"
-            )
-        if abs(b) > 1e-12:
-            momentum_modes.append(m)
-            eff[m] = b
-        else:
-            eff[m] = a
-    if np.any(np.abs(eff - np.round(eff)) > 1e-12):
-        raise GridError("form coefficients must be integers")
-    return np.round(eff).astype(int), momentum_modes
-
-
-_FORM_CACHE: dict[tuple, tuple[tuple[int, ...], np.ndarray]] = {}
-
-
-def _form_plan(grid: GridSpec, coeffs: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """(momentum modes, wrapped-value group index array) for a friendly form."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    key = (grid.n_points, grid.mode_count, coeffs.tobytes())
-    hit = _FORM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    eff, momentum_modes = _friendly_sectors(grid, coeffs)
-    n = grid.n_points
-    c0 = grid.center_index
-    total = np.zeros((1,) * grid.mode_count, dtype=np.int64)
-    for m in range(grid.mode_count):
-        if eff[m] == 0:
-            continue
-        total = total + eff[m] * _along_axis(np.arange(n) - c0, m, grid.mode_count)
-    shape = (n,) * grid.mode_count
-    grp = np.ascontiguousarray(np.mod(np.broadcast_to(total, shape) + c0, n))
-    plan = (tuple(momentum_modes), grp)
-    _FORM_CACHE[key] = plan
-    return plan
-
-
-def _rotated_histogram(
-    state: MultiModeState, coeffs: np.ndarray
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """Rotate the form's momentum modes into position and histogram |psi|^2
-    by wrapped form value: (momentum modes, value labels, rotated tensor,
-    probabilities)."""
-    from .gates import apply_fourier  # local import to avoid a module cycle
-
-    momentum_modes, grp = _form_plan(state.grid, coeffs)
-    work = state.tensor
-    for m in momentum_modes:
-        work = apply_fourier(work, m, state.grid.n_points, inverse=True)
-    return momentum_modes, grp, work, _histogram(work, grp, state.grid.n_points)
-
-
-def _histogram(work: np.ndarray, labels: np.ndarray, size: int) -> np.ndarray:
-    """Born weight |work|^2 summed per outcome label."""
-    return np.bincount(
-        labels.reshape(-1), weights=(work.real**2 + work.imag**2).reshape(-1), minlength=size
-    )
 
 
 def form_value_distribution(state: MultiModeState, coeffs: np.ndarray) -> np.ndarray:
@@ -339,104 +291,32 @@ def form_value_distribution(state: MultiModeState, coeffs: np.ndarray) -> np.nda
 
     Entry ``k`` is the probability of reading the value (k - N/2) * dx.
     """
-    return _rotated_histogram(state, coeffs)[3]
+    from .gates import apply_fourier  # local import to avoid a module cycle
 
-
-def measure_form(
-    state: MultiModeState, coeffs: np.ndarray, rng: np.random.Generator
-) -> tuple[float, MultiModeState]:
-    """Projectively measure a friendly quadrature form; return (value, collapsed)."""
-    from .gates import apply_fourier
-
-    momentum_modes, grp, work, prob = _rotated_histogram(state, coeffs)
-    outcome, collapsed = _sample_and_collapse(work, prob, grp, rng)
-    for m in reversed(momentum_modes):
-        collapsed = apply_fourier(collapsed, m, state.grid.n_points, inverse=False)
-    return state.grid.value_of(outcome), MultiModeState(state.grid, collapsed)
-
-
-_JOINT_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _joint_position_plan(
-    grid: GridSpec, forms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Mixed-radix group array and outcome-to-values table for a set of
-    position-only forms, measurable in one joint projection; None when any
-    form carries momentum.
-
-    Only an integer-independent subset of the rows enters the joint radix;
-    rows that are integer combinations of earlier ones (the redundant third
-    pairwise difference is one) have their wrapped values reconstructed from
-    the sampled outcome, which is exact on the cyclic grid.
-    """
-    m = forms.shape[1] // 2
-    if np.any(np.abs(forms[:, m:]) > 1e-12):
-        return None
-    key = (grid.n_points, grid.mode_count, forms.tobytes())
-    hit = _JOINT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    n = grid.n_points
-    c0 = grid.center_index
-    basis: list[np.ndarray] = []
-    combos: list[tuple[int, np.ndarray | None]] = []  # (basis index or -1, combo)
-    for row in forms:
-        if basis:
-            a = np.array(basis).T
-            sol, *_ = np.linalg.lstsq(a, row, rcond=None)
-            if (
-                np.linalg.norm(a @ sol - row) < 1e-9
-                and np.all(np.abs(sol - np.round(sol)) < 1e-9)
-            ):
-                combos.append((-1, np.round(sol)))
-                continue
-        basis.append(row)
-        combos.append((len(basis) - 1, None))
-    joint = np.zeros((n,) * grid.mode_count, dtype=np.int64)
-    radix = 1
-    radices = []
-    for row in basis:
-        _, grp = _form_plan(grid, row)
-        joint = joint + grp * radix
-        radices.append(radix)
-        radix *= n
-    outcomes = np.arange(radix)
-    basis_vals = np.empty((len(basis), radix))
-    for i, r in enumerate(radices):
-        basis_vals[i] = ((outcomes // r) % n - c0) * grid.dx
-    values = np.empty((len(forms), radix))
-    for i, (bi, combo) in enumerate(combos):
-        if bi >= 0:
-            values[i] = basis_vals[bi]
-        else:
-            raw = combo @ basis_vals[: len(combo)]
-            values[i] = (np.mod(raw / grid.dx + c0, n) - c0) * grid.dx
-    plan = (joint, values)
-    _JOINT_CACHE[key] = plan
-    return plan
-
-
-def measure_forms(
-    state: MultiModeState, forms: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, MultiModeState]:
-    """Projectively measure every row of ``forms`` (K x 2M friendly forms) in
-    order; return (K wrapped values, collapsed state).
-
-    Position-only form sets are sampled jointly in one projection, which has
-    the same joint law as measuring them one at a time (they commute); any
-    momentum term sends every row through :func:`measure_form`.
-    """
-    joint = _joint_position_plan(state.grid, forms)
-    if joint is None:
-        values = np.empty(len(forms))
-        for i, row in enumerate(forms):
-            values[i], state = measure_form(state, row, rng)
-        return values, state
-    grp, table = joint
-    prob = _histogram(state.tensor, grp, table.shape[1])
-    outcome, collapsed = _sample_and_collapse(state.tensor, prob, grp, rng)
-    return table[:, outcome].copy(), MultiModeState(state.grid, collapsed)
+    grid = state.grid
+    n, m_modes, c0 = grid.n_points, grid.mode_count, grid.center_index
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (2 * m_modes,):
+        raise GridError(f"coefficient vector must have length {2 * m_modes}")
+    on_x, on_p = np.abs(coeffs[:m_modes]) > 1e-12, np.abs(coeffs[m_modes:]) > 1e-12
+    if np.any(on_x & on_p):
+        raise GridError(
+            "a mode carries both x and p in the same form; not measurable by a "
+            "single ancilla accumulation"
+        )
+    eff = coeffs[:m_modes] + coeffs[m_modes:]
+    if np.any(np.abs(eff - np.round(eff)) > 1e-12):
+        raise GridError("form coefficients must be integers")
+    total = np.zeros((1,) * m_modes, dtype=np.int64)
+    work = state.tensor
+    for m in range(m_modes):
+        if on_p[m]:
+            work = apply_fourier(work, m, n, inverse=True)
+        total = total + int(round(eff[m])) * _along_axis(np.arange(n) - c0, m, m_modes)
+    labels = np.mod(np.broadcast_to(total, work.shape) + c0, n)
+    return np.bincount(
+        labels.reshape(-1), weights=(work.real**2 + work.imag**2).reshape(-1), minlength=n
+    )
 
 
 def _along_axis(vec: np.ndarray, axis: int, ndim: int) -> np.ndarray:
@@ -448,6 +328,13 @@ def _along_axis(vec: np.ndarray, axis: int, ndim: int) -> np.ndarray:
 def _check_mode(grid: GridSpec, mode: int) -> None:
     if not 0 <= mode < grid.mode_count:
         raise GridError(f"mode {mode} out of range [0, {grid.mode_count})")
+
+
+def _check_modes(grid: GridSpec, modes: Sequence[int]) -> None:
+    if len(set(modes)) != len(modes):
+        raise GridError("duplicate modes")
+    for m in modes:
+        _check_mode(grid, m)
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +362,8 @@ def load_state(path_prefix: str | Path) -> MultiModeState:
     prefix = Path(path_prefix)
     header = json.loads(prefix.with_suffix(".json").read_text())
     grid = GridSpec(int(header["n_points"]), int(header["mode_count"]))
-    raw = np.fromfile(prefix.with_suffix(".bin"), dtype=np.float64)
-    amps = raw.view(np.complex128)
-    if amps.size != grid.n_points**grid.mode_count:
+    bin_path = prefix.with_suffix(".bin")
+    if bin_path.stat().st_size != 16 * grid.n_points**grid.mode_count:
         raise GridError("amplitude count does not match header")
-    return MultiModeState(grid, amps.reshape((grid.n_points,) * grid.mode_count).copy())
+    amps = np.fromfile(bin_path, dtype=np.complex128)
+    return MultiModeState(grid, amps.reshape((grid.n_points,) * grid.mode_count))

@@ -323,8 +323,11 @@ def decode_syndrome(
         forms = code.syndrome_matrix()
     if forms.shape != (len(syndrome), 2 * code.mode_count):
         raise ValueError("forms shape does not match syndrome length / mode count")
-    if modes is None:
-        modes = range(code.mode_count)
+    modes = range(code.mode_count) if modes is None else list(modes)
+    bad = [m for m in modes if not 0 <= m < code.mode_count]
+    if bad:
+        # a plain ValueError: correct() reports DecodeErrors as decode outcomes
+        raise ValueError(f"decode mode(s) {bad} out of range [0, {code.mode_count})")
     if residual_tol is None:
         residual_tol = 1e-6
     scale = float(np.linalg.norm(syndrome))

@@ -1,17 +1,23 @@
 """Syndrome circuits, finite-precision measurement, correction, QEC cycles.
 
-Syndrome extraction follows the textbook picture: one fresh zero-position
-ancilla per measured form, Sum/SumInv gates accumulating the signed position
-sum into the ancilla (momentum terms are picked up by conjugating the involved
-data mode with Fourier gates around the accumulation), then a position readout
-of each ancilla.  :func:`build_syndrome_circuit` constructs that explicit
-circuit and :func:`extract_syndrome_via_ancillas` runs it, as the oracle.
-:func:`extract_syndrome` takes the mathematically identical projective route
-on the data modes only, through :func:`cvqec.grid.measure_forms`, which avoids
-materializing N**(M+K) amplitudes.  Both routes sample and collapse through
-the grid module's single Born rule and are cross-checked at small N.  The
-forms are the nullifiers :meth:`cvqec.codes.CodeSpec.from_encoder` derives
-(cyclic position differences for the repetition code).
+Textbook syndrome extraction appends one zero-position ancilla per measured
+form, accumulates the signed quadrature sum into it with Sum/SumInv gates
+(Fourier-conjugating the data mode for momentum terms) and reads the ancillae
+out.  :func:`build_syndrome_circuit` builds that circuit and
+:func:`extract_syndrome_via_ancillas` runs it, as the oracle.
+
+:func:`extract_syndrome` makes the same measurement in the decoded frame.  The
+measured forms (the nullifiers of :meth:`cvqec.codes.CodeSpec.from_encoder`,
+or cyclic position differences for the repetition code) are integer
+combinations of the encoder images of the ancilla positions, so after the
+inverse encoder they are an integer matrix G applied to the ancilla positions
+alone.  When M - 1 rows of G have determinant +-1, one joint position
+projection of the ancillae (:func:`cvqec.grid.measure_positions`) is the K
+form readouts.  :func:`run_qec_cycle` then stays in the decoded frame: it
+corrects there through the integer inverse S^-1 of the encoder's symplectic
+matrix and reads both fidelities off the decoded tensor.  This is the
+continuous-variable Gottesman-Knill picture (Bartlett, Sanders, Braunstein &
+Nemoto, PRL 88, 097904, 2002).
 
 Measurement imprecision enters purely classically: the collapse happens at
 full grid precision and the recorded value is the true value plus noise drawn
@@ -39,11 +45,10 @@ from .grid import (
     fidelity,
     gaussian_kernel,
     make_product_state,
-    measure_forms,
-    measure_position,
+    measure_positions,
     reduced_density,
 )
-from .symplectic import DecodeError, DisplacementError
+from .symplectic import DecodeError, DisplacementError, circuit_symplectic
 from .symplectic import decode_syndrome as _decode
 
 
@@ -132,10 +137,8 @@ class SyndromePlan:
     circuit: Circuit
     readout_modes: tuple[int, ...]
     forms: np.ndarray  # K x 2M, rows ordered like readout_modes
-
-    @property
-    def data_modes(self) -> int:
-        return self.forms.shape[1] // 2
+    ancilla_map: np.ndarray  # K x (M-1) integer G: forms on the decoded ancilla positions
+    decoded_shift: np.ndarray  # integer S^-1: physical displacement -> decoded frame
 
 
 def _pairwise_difference_forms(m_modes: int) -> list[np.ndarray]:
@@ -188,7 +191,31 @@ def build_syndrome_circuit(code: CodeSpec) -> SyndromePlan:
             gates.append(sum_gate(mode, anc) if b > 0 else sum_inv(mode, anc))
             gates.append(fourier(mode))
     circuit = Circuit(m + len(forms), tuple(gates))
-    return SyndromePlan(code.name, circuit, tuple(readout), np.array(forms))
+    forms = np.array(forms)
+    return SyndromePlan(code.name, circuit, tuple(readout), forms, *_decoded_frame(code, forms))
+
+
+def _decoded_frame(code: CodeSpec, forms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(G, S^-1) for the encoder's symplectic matrix S: G = forms @ S restricted
+    to the ancilla positions, the readouts as functions of the decoded state.
+
+    Raises unless G is integer, the readouts ignore the logical mode and every
+    momentum, and M - 1 rows of G have determinant +-1, which is when
+    projecting the decoded ancilla positions is the K form readouts.  S, a
+    product of Fourier and Sum matrices, is integer with determinant 1.
+    """
+    s = circuit_symplectic(code.encoder).matrix
+    full = forms @ s
+    anc = list(code.ancilla_modes)
+    g = np.round(full[:, anc]).astype(np.int64)
+    on_ancillae = np.zeros_like(full)
+    on_ancillae[:, anc] = g
+    if np.any(np.abs(full - on_ancillae) > 1e-9):
+        raise SyndromeCircuitError("readouts are not integer in the decoded ancilla positions")
+    rows = itertools.combinations(range(len(g)), len(anc))
+    if not any(abs(round(np.linalg.det(g[list(r)]))) == 1 for r in rows):
+        raise SyndromeCircuitError("no M - 1 readouts with determinant +-1 on the ancillae")
+    return g, np.round(np.linalg.inv(s)).astype(np.int64)
 
 
 def _scale_to_unit(row: np.ndarray) -> np.ndarray:
@@ -243,17 +270,40 @@ def extract_syndrome(
     """Born-sample every syndrome form (collapsing the state), then apply the
     measurement model's classical noise to produce the reported values.
 
-    Uses the projective route on the data modes (:func:`cvqec.grid.measure_forms`),
-    exactly equivalent to running the explicit ancilla circuit from
-    :func:`build_syndrome_circuit` and reading the ancillae out (values wrap
-    mod N like a cyclic ancilla does).
+    Inverse encoder, joint ancilla-position projection, wrapped form values
+    ``G @ (a - N/2)``, encoder: the same measurement as reading out the
+    ancillae of :func:`build_syndrome_circuit`'s explicit circuit.
     """
     if plan is None:
         plan = build_syndrome_circuit(code)
-    true_vals, state = measure_forms(state, plan.forms, rng)
+    decoded = apply_circuit(state, code.encoder.inverse())
+    record, _, decoded = _measure_decoded(decoded, code, plan, model, rng)
+    return record, apply_circuit(decoded, code.encoder)
+
+
+def _measure_decoded(
+    decoded: MultiModeState,
+    code: CodeSpec,
+    plan: SyndromePlan,
+    model: MeasurementModel,
+    rng: np.random.Generator,
+) -> tuple[SyndromeRecord, np.ndarray, MultiModeState]:
+    """Joint ancilla-position projection of a decoded state: the record, the
+    ancilla grid indices and the collapsed state."""
+    grid = decoded.grid
+    c0 = grid.center_index
+    indices, decoded = measure_positions(decoded, code.ancilla_modes, rng)
+    ancillae = np.array(indices)
+    steps = plan.ancilla_map @ (ancillae - c0)
+    true_vals = (np.mod(steps + c0, grid.n_points) - c0) * grid.dx
+    return _record(true_vals, model, rng, plan), ancillae, decoded
+
+
+def _record(
+    true_vals: np.ndarray, model: MeasurementModel, rng: np.random.Generator, plan: SyndromePlan
+) -> SyndromeRecord:
     reported = np.array([v + model.sample_noise(rng) for v in true_vals])
-    record = SyndromeRecord(true_vals, reported, tuple(range(len(plan.forms))), plan.forms)
-    return record, state
+    return SyndromeRecord(true_vals, reported, tuple(range(len(plan.forms))), plan.forms)
 
 
 def extract_syndrome_via_ancillas(
@@ -275,21 +325,12 @@ def extract_syndrome_via_ancillas(
         GridSpec(n, total - code.mode_count), [big_grid.center_index] * (total - code.mode_count)
     )
     joint = np.multiply.outer(state.tensor, anc.tensor).reshape((n,) * total)
-    big = MultiModeState(big_grid, joint)
-    big = apply_circuit(big, plan.circuit)
-    true_vals = np.empty(len(plan.readout_modes))
-    for i, mode in enumerate(plan.readout_modes):
-        idx, big = measure_position(big, mode, rng)
-        true_vals[i] = big.grid.value_of(idx)
-    # project the data modes back out (ancillae are position eigenstates now)
-    sl = [slice(None)] * total
-    for i, mode in enumerate(plan.readout_modes):
-        sl[mode] = big.grid.index_of(true_vals[i])
-    data = big.tensor[tuple(sl)]
-    data = data / np.linalg.norm(data)
-    reported = np.array([v + model.sample_noise(rng) for v in true_vals])
-    record = SyndromeRecord(true_vals, reported, tuple(range(len(plan.forms))), plan.forms)
-    return record, MultiModeState(state.grid, np.ascontiguousarray(data))
+    big = apply_circuit(MultiModeState(big_grid, joint), plan.circuit)
+    # the readout modes are the trailing axes; once read, they are eigenstates
+    indices, big = measure_positions(big, plan.readout_modes, rng)
+    true_vals = (np.array(indices) - big_grid.center_index) * big_grid.dx
+    data = np.ascontiguousarray(big.tensor[(Ellipsis, *indices)])
+    return _record(true_vals, model, rng, plan), MultiModeState(state.grid, data)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +362,24 @@ def correct(
     the exact-readout acceptance threshold; the default accepts the
     best-fitting mode, which is the correct behavior for noisy records.
     """
+    err, steps, reason = _correction_steps(code, record, state.grid.dx, decode_modes, strict)
+    if steps is None:
+        return CorrectionResult(state, err, False, reason=reason)
+    m, k = code.mode_count, err.mode
+    fixed = apply_displacement(state, k, int(steps[k]), int(steps[m + k]) * state.grid.dx)
+    return CorrectionResult(fixed, err, True)
+
+
+def _correction_steps(
+    code: CodeSpec,
+    record: SyndromeRecord,
+    dx: float,
+    decode_modes: Sequence[int] | None = None,
+    strict: bool = False,
+) -> tuple[DisplacementError | None, np.ndarray | None, str]:
+    """Decode a record into (inferred error, corrective displacement as a 2M
+    vector of whole grid steps, reason); the steps are None, and the reason
+    says why, when the decode fails or rounds to zero."""
     tol = None if strict else float("inf")
     try:
         err = _decode(
@@ -328,14 +387,11 @@ def correct(
             residual_tol=tol,
         )
     except DecodeError as exc:
-        return CorrectionResult(state, None, False, reason=str(exc))
-    dx = state.grid.dx
-    shift = int(round(err.e_x / dx))
-    kick_steps = int(round(err.e_p / dx))
-    if shift == 0 and kick_steps == 0:
-        return CorrectionResult(state, err, False, reason="zero correction")
-    fixed = apply_displacement(state, err.mode, -shift, -kick_steps * dx)
-    return CorrectionResult(fixed, err, True)
+        return None, None, str(exc)
+    steps = -np.rint(err.embed(code.mode_count) / dx).astype(np.int64)
+    if not steps.any():
+        return err, None, "zero correction"
+    return err, steps, ""
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +414,13 @@ class ErrorSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "displacement", "convolution"):
             raise ValueError(f"unknown error kind {self.kind!r}")
+        if not math.isfinite(self.momentum_kick):
+            raise ValueError(f"momentum kick must be finite, got {self.momentum_kick}")
+        if not float(self.shift_points).is_integer():
+            raise ValueError(f"shift must be whole grid points, got {self.shift_points}")
+        width_ok = 0 < self.kernel_width < math.inf
+        if self.kind == "convolution" and self.kernel is None and not width_ok:
+            raise ValueError(f"kernel width must be finite and > 0, got {self.kernel_width}")
 
     @staticmethod
     def none() -> "ErrorSpec":
@@ -437,28 +500,47 @@ def run_qec_cycle(
     plan: SyndromePlan | None = None,
     reference: MultiModeState | None = None,
 ) -> QecCycleReport:
-    """encode -> inject error -> extract syndrome -> correct -> compare."""
+    """encode -> inject error -> extract syndrome -> correct -> compare.
+
+    From the inverse encoder on, the cycle stays in the decoded frame: the
+    correction is applied there, the post-correction fidelity is the overlap
+    of the logical input with the decoded state at zero ancilla positions, and
+    the logical density is traced from the decoded state.  ``reference``, when
+    given, must be ``encode(logical_wavefunction, code, grid)``.
+    """
     if grid is None:
         if n_points is None:
             raise GridError("pass either grid or n_points")
         grid = GridSpec(n_points, code.mode_count)
+    if plan is None:
+        plan = build_syndrome_circuit(code)
     if reference is None:
         reference = encode(logical_wavefunction, code, grid)
     damaged = apply_error(reference, error)
     pre_fid = fidelity(damaged, reference)
-    record, collapsed = extract_syndrome(damaged, code, model, rng, plan=plan)
-    result = correct(collapsed, code, record, decode_modes=decode_modes)
-    post_fid = fidelity(result.state, reference)
-    rho = decoded_logical_density(result.state, code)
+    decoded = apply_circuit(damaged, code.encoder.inverse())
+    record, ancillae, decoded = _measure_decoded(decoded, code, plan, model, rng)
+    # the projected decoded state is logical (x) |ancillae>; the correction
+    # moves both factors, and its kicks on the ancillae are global phases
+    lm, n = code.logical_mode, grid.n_points
+    line = np.moveaxis(decoded.tensor, lm, 0)[(slice(None), *ancillae)]
+    logical = MultiModeState(GridSpec(n, 1), line)
+    err, steps, _ = _correction_steps(code, record, grid.dx, decode_modes)
+    if steps is not None:
+        d = plan.decoded_shift @ steps
+        logical = apply_displacement(logical, 0, d[lm], d[code.mode_count + lm] * grid.dx)
+        ancillae = np.mod(ancillae + d[list(code.ancilla_modes)], n)
     psi = np.asarray(logical_wavefunction, dtype=np.complex128)
-    logical_fid = float(np.real(psi.conj() @ rho @ psi))
+    post_fid = 0.0
+    if np.all(ancillae == grid.center_index):  # encode() normalizes psi
+        post_fid = abs(np.vdot(psi / np.linalg.norm(psi), logical.tensor)) ** 2
     return QecCycleReport(
         pre_error_fidelity=pre_fid,
-        post_correction_fidelity=post_fid,
-        logical_fidelity=logical_fid,
-        inferred_error=result.inferred,
+        post_correction_fidelity=float(post_fid),
+        logical_fidelity=float(abs(np.vdot(psi, logical.tensor)) ** 2),
+        inferred_error=err,
         syndrome=record,
-        correction_applied=result.applied,
+        correction_applied=steps is not None,
     )
 
 

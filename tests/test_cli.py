@@ -222,3 +222,49 @@ def test_nan_sigma_in_sweep_config_is_usage_error(tmp_path, capsys):
                     '"trials": 2, "seed": 1}')
     assert run_cli(["sweep", "--config", str(path)]) == 2
     assert "sigma must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--kick", "nan", "--shift", "1"], "momentum kick must be finite"),
+    (["--kick", "inf", "--shift", "1"], "momentum kick must be finite"),
+    (["--kernel-width", "nan"], "kernel width must be finite and > 0"),
+    (["--kernel-width", "inf"], "kernel width must be finite and > 0"),
+])
+def test_non_finite_error_is_usage_error(tmp_path, capsys, flags, message):
+    # a NaN kick or width used to reach the Born sampler and end in an IndexError
+    assert run_cli(["cycle", "--code", "repetition3", "--grid-n", "8", *flags]) == 2
+    assert message in capsys.readouterr().err
+    enc = tmp_path / "enc"
+    assert run_cli(["encode", "--code", "repetition3", "--grid-n", "8",
+                    "--out", str(enc)]) == 0
+    capsys.readouterr()
+    assert run_cli(["inject", "--in", str(enc), "--out", str(tmp_path / "bad"), *flags]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [
+    '{"kind": "displacement", "mode": 0, "shift": 1, "kick": NaN}',
+    '{"kind": "convolution", "mode": 0, "kernel_width": NaN}',
+])
+def test_non_finite_error_in_sweep_config_is_usage_error(tmp_path, capsys, error):
+    path = tmp_path / "nan.json"
+    path.write_text('{"code": "repetition3", "grid_n": 8, "sigmas": [0.0], '
+                    f'"trials": 2, "seed": 1, "error": {error}}}')
+    assert run_cli(["sweep", "--config", str(path)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["9", "-1"])
+def test_out_of_range_decode_mode_is_usage_error(capsys, mode):
+    # 9 used to end in an IndexError, -1 in a silent decode reporting mode -1
+    assert run_cli(["cycle", "--code", "repetition3", "--grid-n", "8", "--shift", "1",
+                    "--decode-mode", mode]) == 2
+    assert f"decode mode(s) [{mode}] out of range [0, 3)" in capsys.readouterr().err
+
+
+def test_out_of_range_decode_mode_in_sweep_config_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "modes.json"
+    path.write_text('{"code": "repetition3", "grid_n": 8, "sigmas": [0.0], '
+                    '"trials": 2, "seed": 1, "decode_modes": [7]}')
+    assert run_cli(["sweep", "--config", str(path)]) == 2
+    assert "decode mode(s) [7] out of range" in capsys.readouterr().err

@@ -23,3 +23,19 @@ def test_sweep_config_json_rejects_bad_sigma(literal):
 
 def test_sweep_config_json_accepts_valid_sigmas():
     assert SweepConfig.from_json(json.dumps(BASE)).sigmas == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("error", [
+    {"kind": "displacement", "mode": 0, "shift": 1, "kick": math.nan},
+    {"kind": "displacement", "mode": 0, "shift": 1, "kick": math.inf},
+    {"kind": "convolution", "mode": 0, "kernel_width": math.nan},
+    {"kind": "convolution", "mode": 0, "kernel_width": math.inf},
+    {"kind": "convolution", "mode": 0, "kernel_width": 0.0},
+    {"kind": "convolution", "mode": 0, "kernel_width": -1.0},
+    {"kind": "displacement", "mode": 0, "shift": 1.5},
+])
+def test_sweep_config_rejects_bad_error(error):
+    with pytest.raises(ConfigError, match="bad error spec"):
+        SweepConfig(**BASE, error=error)
+    with pytest.raises(ConfigError):
+        SweepConfig.from_json(json.dumps({**BASE, "error": error}))

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from cvqec import (
     load_state,
     make_product_state,
     measure_position,
+    measure_positions,
     position_distribution,
     reduced_density,
     save_state,
@@ -146,6 +150,42 @@ def test_measure_position_samples_like_rng_choice(n, m, mode_pick, state_seed, r
     assert position_distribution(post, mode)[idx] == pytest.approx(1.0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=hs.sampled_from([2, 4, 6]),
+    m=hs.integers(1, 4),
+    picks=hs.permutations(range(4)),
+    k=hs.integers(1, 4),
+    state_seed=hs.integers(0, 2**32 - 1),
+    rng_seed=hs.integers(0, 2**32 - 1),
+)
+def test_measure_positions_samples_the_flat_joint_index(n, m, picks, k, state_seed, rng_seed):
+    # one double picks the row-major flat index of the measured axes, taken in
+    # the order given, exactly as rng.choice does on the flattened joint law
+    modes = tuple(p for p in picks if p < m)[:k]
+    state = MultiModeState(GridSpec(n, m), random_state(n, m, state_seed))
+    probs = np.abs(np.moveaxis(state.tensor, modes, range(len(modes)))) ** 2
+    joint = probs.reshape(n ** len(modes), -1).sum(axis=1)
+    ours, theirs = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
+    indices, post = measure_positions(state, modes, ours)
+    flat = int(theirs.choice(joint.size, p=joint / joint.sum()))
+    assert indices == np.unravel_index(flat, (n,) * len(modes))
+    assert ours.random() == theirs.random()
+    assert post.norm() == pytest.approx(1.0)
+    kept = np.moveaxis(post.tensor, modes, range(len(modes)))[indices]
+    assert np.sum(np.abs(kept) ** 2) == pytest.approx(1.0)
+    for mode, j in zip(modes, indices):
+        assert position_distribution(post, mode)[j] == pytest.approx(1.0)
+
+
+def test_measure_positions_rejects_bad_modes():
+    st = make_product_state(GridSpec(4, 3), [0, 1, 2])
+    with pytest.raises(GridError):
+        measure_positions(st, (0, 0), np.random.default_rng(0))
+    with pytest.raises(GridError):
+        measure_positions(st, (3,), np.random.default_rng(0))
+
+
 def test_measure_after_sum_reads_the_sum():
     g = GridSpec(8, 2)
     st = make_product_state(g, [5, 6])  # a = 1 dx, b = 2 dx
@@ -255,3 +295,23 @@ def test_state_save_load_roundtrip(tmp_path):
     again = load_state(tmp_path / "state")
     assert again.grid == st.grid
     assert np.array_equal(again.amplitudes, st.amplitudes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=hs.sampled_from([2, 4, 8]),
+    m=hs.integers(1, 3),
+    seed=hs.integers(0, 2**32 - 1),
+    cut=hs.sampled_from([8, 16]),
+)
+def test_state_file_roundtrip_and_truncation(n, m, seed, cut):
+    st = MultiModeState(GridSpec(n, m), random_state(n, m, seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = Path(tmp) / "state"
+        _, bin_path = save_state(st, prefix)
+        again = load_state(prefix)
+        assert again.grid == st.grid
+        assert np.array_equal(again.tensor, st.tensor)
+        bin_path.write_bytes(bin_path.read_bytes()[:-cut])
+        with pytest.raises(GridError, match="amplitude count does not match header"):
+            load_state(prefix)

@@ -30,6 +30,7 @@ from cvqec import (
     sum_inv,
     syndrome_matrix,
 )
+from cvqec.symplectic import DecodeError
 from oracle_helpers import random_state
 
 
@@ -345,3 +346,14 @@ def test_decode_mode_restriction():
     s = syn @ DisplacementError(1, 1.0, 0.0).embed(3)
     err = decode_syndrome(code, s, modes=[1])
     assert err.mode == 1 and err.e_x == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("modes", [[3], [-1], [0, 7]])
+def test_decode_mode_out_of_range_is_a_plain_value_error(modes):
+    # not a DecodeError, which correct() would report as a decode outcome;
+    # checked before the zero-syndrome shortcut
+    code = build_repetition3()
+    for syndrome in (np.zeros(2), np.array([1.0, 0.0])):
+        with pytest.raises(ValueError, match="out of range") as info:
+            decode_syndrome(code, syndrome, modes=modes)
+        assert not isinstance(info.value, DecodeError)

@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from cvqec import (
     CodeSpec,
     ErrorSpec,
     GridSpec,
     MeasurementModel,
+    MultiModeState,
     Nullifier,
+    apply_circuit,
     apply_displacement,
     apply_error,
+    apply_kernel_convolution,
     build_braunstein5,
     build_repetition3,
     build_shor9,
     build_syndrome_circuit,
+    circuit_symplectic,
     correct,
     decoded_logical_density,
     decoherence_prediction,
@@ -21,6 +27,9 @@ from cvqec import (
     extract_syndrome,
     extract_syndrome_via_ancillas,
     fidelity,
+    form_value_distribution,
+    gaussian_kernel,
+    make_product_state,
     run_qec_cycle,
     trace_distance,
 )
@@ -367,6 +376,196 @@ def test_cycle_report_serializes():
     payload = json.loads(report.to_json())
     assert payload["correction_applied"] is True
     assert payload["inferred_error"]["mode"] == 0
+
+
+# ---------------------------------------------------------------------------
+# the decoded frame against the Fourier and explicit-ancilla oracles
+# ---------------------------------------------------------------------------
+
+
+def test_plan_reads_the_repetition_forms_off_the_ancilla_positions():
+    code = build_repetition3()
+    plan = build_syndrome_circuit(code)
+    # decoded ancillae a1 = x1 - x0, a2 = x2 - x0
+    assert np.array_equal(plan.ancilla_map, [[-1, 0], [1, -1], [0, 1]])
+    s = circuit_symplectic(code.encoder).matrix
+    assert np.array_equal(plan.decoded_shift @ s, np.eye(6))
+    assert plan.ancilla_map.dtype.kind == plan.decoded_shift.dtype.kind == "i"
+
+
+@pytest.mark.parametrize("rows", [
+    # doubled differences: the values determine the ancillae only up to N/2
+    [(2.0, -2.0, 0.0, 0.0, 0.0, 0.0), (0.0, 2.0, -2.0, 0.0, 0.0, 0.0)],
+    # x0 is the logical position, not a function of the ancillae
+    [(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), (0.0, 1.0, -1.0, 0.0, 0.0, 0.0)],
+])
+def test_plan_rejects_forms_the_ancilla_projection_cannot_measure(rows):
+    code = build_repetition3()
+    rows = tuple(Nullifier(r) for r in rows)
+    bad = CodeSpec(
+        name="bad", mode_count=3, encoder=code.encoder,
+        ancilla_modes=code.ancilla_modes, nullifiers=rows, raw_nullifiers=rows,
+    )
+    with pytest.raises(SyndromeCircuitError):
+        build_syndrome_circuit(bad)
+
+
+CASES = [("repetition3", 8), ("repetition3", 16), ("braunstein5", 6),
+         ("braunstein5", 8), ("shor9", 4)]
+BUILD = {"repetition3": build_repetition3, "braunstein5": build_braunstein5,
+         "shor9": build_shor9}
+
+
+def _damaged(code, n, seed, mode, shift, kick, width):
+    """encode a random logical state, then displace and convolve one mode"""
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    grid = GridSpec(n, code.mode_count)
+    state = encode(psi / np.linalg.norm(psi), code, grid)
+    state = apply_displacement(state, mode, shift, kick * grid.dx)
+    state, _ = apply_kernel_convolution(state, mode, gaussian_kernel(grid, width * grid.dx))
+    return state
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=hs.sampled_from(CASES),
+    seed=hs.integers(0, 2**32 - 1),
+    mode_pick=hs.integers(0, 8),
+    shift=hs.integers(-2, 2),
+    kick=hs.integers(-2, 2),
+    width=hs.floats(0.5, 1.5),
+)
+def test_decoded_frame_marginals_match_fourier_oracle(case, seed, mode_pick, shift, kick, width):
+    name, n = case
+    code = BUILD[name]()
+    plan = build_syndrome_circuit(code)
+    damaged = _damaged(code, n, seed, mode_pick % code.mode_count, shift, kick, width)
+    decoded = apply_circuit(damaged, code.encoder.inverse())
+    joint = np.sum(np.abs(decoded.tensor) ** 2, axis=code.logical_mode)
+    a = np.indices(joint.shape).reshape(code.mode_count - 1, -1) - n // 2
+    for row, g in zip(plan.forms, plan.ancilla_map):
+        labels = np.mod(g @ a + n // 2, n)
+        ours = np.bincount(labels, weights=joint.reshape(-1), minlength=n)
+        assert np.max(np.abs(ours - form_value_distribution(damaged, row))) <= 1e-12
+
+
+def _outcome_law(big, readout_modes):
+    """joint law of the readout values of an explicit-ancilla state"""
+    p = np.abs(big.tensor) ** 2
+    data = tuple(ax for ax in range(big.grid.mode_count) if ax not in readout_modes)
+    joint = p.sum(axis=data)
+    return {idx: joint[idx] for idx in zip(*np.nonzero(joint > 1e-15))}
+
+
+@pytest.mark.parametrize("name,n,mode", [("repetition3", 8, 1), ("braunstein5", 4, 3)])
+def test_extraction_matches_ancilla_route_under_convolution(name, n, mode):
+    # under a kernel error the readouts are random: compare the outcome laws,
+    # then the collapsed states of every outcome both routes drew
+    code = BUILD[name]()
+    plan = build_syndrome_circuit(code)
+    grid = GridSpec(n, code.mode_count)
+    damaged = _damaged(code, n, 5, mode, 1, 1, 0.8)
+    k, total = len(plan.forms), plan.circuit.mode_count
+    anc = make_product_state(GridSpec(n, k), [n // 2] * k)
+    joint = np.multiply.outer(damaged.tensor, anc.tensor).reshape((n,) * total)
+    big = apply_circuit(MultiModeState(GridSpec(n, total), joint), plan.circuit)
+    oracle = _outcome_law(big, plan.readout_modes)
+    decoded = apply_circuit(damaged, code.encoder.inverse())
+    p = np.sum(np.abs(decoded.tensor) ** 2, axis=code.logical_mode)
+    ours: dict = {}
+    for a in zip(*np.nonzero(p > 1e-15)):
+        values = np.mod(plan.ancilla_map @ (np.array(a) - n // 2) + n // 2, n)
+        key = tuple(int(v) for v in values)
+        ours[key] = ours.get(key, 0.0) + p[a]
+    assert oracle.keys() == ours.keys()
+    assert max(abs(oracle[key] - ours[key]) for key in oracle) <= 1e-12
+    posts: dict = {}
+    for seed in range(12):
+        for route in (extract_syndrome, extract_syndrome_via_ancillas):
+            rec, post = route(damaged, code, MeasurementModel.exact(),
+                              np.random.default_rng(seed))
+            posts.setdefault(tuple(np.round(rec.true_values / grid.dx).astype(int)),
+                             []).append(post)
+    shared = [states for states in posts.values() if len(states) > 1]
+    assert shared
+    for states in shared:
+        assert all(fidelity(states[0], other) >= 1 - 1e-12 for other in states[1:])
+
+
+def test_extraction_draws_one_double():
+    code = build_braunstein5()
+    damaged = _damaged(code, 6, 3, 2, 1, -1, 1.0)
+    ours, twin = np.random.default_rng(9), np.random.default_rng(9)
+    extract_syndrome(damaged, code, MeasurementModel.exact(), ours)
+    twin.random()
+    assert ours.random() == twin.random()
+
+
+def _physical_cycle(psi, code, error, model, rng, grid, plan, reference, decode_modes):
+    """run_qec_cycle composed from the physical-frame public stages"""
+    damaged = apply_error(reference, error)
+    pre = fidelity(damaged, reference)
+    record, collapsed = extract_syndrome(damaged, code, model, rng, plan=plan)
+    result = correct(collapsed, code, record, decode_modes=decode_modes)
+    rho = decoded_logical_density(result.state, code)
+    logical = float(np.real(psi.conj() @ rho @ psi))
+    return pre, fidelity(result.state, reference), logical, record, result
+
+
+@pytest.mark.parametrize("name,n,errors", [
+    ("repetition3", 16, [ErrorSpec.displacement(m, s) for m in range(3) for s in (-3, 2)]
+     + [ErrorSpec.convolution(0, 0.7)]),
+    ("braunstein5", 8, [ErrorSpec.displacement(m, 2, -0.6) for m in range(5)]
+     + [ErrorSpec.convolution(3, 0.5)]),
+    ("shor9", 4, [ErrorSpec.displacement(m, 1) for m in range(9)]),
+])
+@pytest.mark.parametrize("sigma", [0.0, 0.8])
+def test_cycle_matches_physical_frame_composition(name, n, errors, sigma):
+    code = BUILD[name]()
+    grid = GridSpec(n, code.mode_count)
+    rng = np.random.default_rng(4)
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi /= np.linalg.norm(psi)
+    reference = encode(psi, code, grid)
+    plan = build_syndrome_circuit(code)
+    model = MeasurementModel.gaussian(sigma * grid.dx) if sigma else MeasurementModel.exact()
+    for t, error in enumerate(errors):
+        if error.kind == "displacement":  # kicks in units of dx
+            error = ErrorSpec.displacement(error.mode, error.shift_points,
+                                           error.momentum_kick * grid.dx)
+        else:
+            error = ErrorSpec.convolution(error.mode, error.kernel_width * grid.dx)
+        report = run_qec_cycle(psi, code, error, model, np.random.default_rng(t),
+                               grid=grid, plan=plan, reference=reference)
+        pre, post, logical, record, result = _physical_cycle(
+            psi, code, error, model, np.random.default_rng(t), grid, plan, reference, None)
+        assert report.pre_error_fidelity == pre
+        assert np.array_equal(report.syndrome.true_values, record.true_values)
+        assert np.array_equal(report.syndrome.reported_values, record.reported_values)
+        assert report.inferred_error == result.inferred
+        assert report.correction_applied == result.applied
+        assert abs(report.post_correction_fidelity - post) <= 1e-12
+        assert abs(report.logical_fidelity - logical) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mode=hs.integers(0, 4),
+    shift=hs.integers(-2, 2),
+    kick=hs.integers(-2, 2),
+    index=hs.integers(0, 7),
+)
+def test_braunstein5_recovers_random_single_mode_displacements(mode, shift, kick, index):
+    grid = GridSpec(8, 5)
+    report = run_qec_cycle(
+        eigenstate(8, index), build_braunstein5(),
+        ErrorSpec.displacement(mode, shift, kick * grid.dx),
+        MeasurementModel.exact(), np.random.default_rng(0), grid=grid,
+    )
+    assert report.post_correction_fidelity >= 1 - 1e-9
+    assert report.logical_fidelity >= 1 - 1e-9
+    assert report.correction_applied == (shift != 0 or kick != 0)
 
 
 # ---------------------------------------------------------------------------
