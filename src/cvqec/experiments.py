@@ -2,8 +2,11 @@
 
 Trials are independent; each draws its random stream from (seed, sigma index,
 trial index), so dispatching them across worker threads (CVQEC_THREADS) cannot
-change any result and sweep CSVs are byte-identical across runs and thread
-counts for a fixed config.
+change any result and sweep CSVs are byte-identical across runs and
+CVQEC_THREADS values for a fixed config.  They are not guaranteed identical
+across BLAS thread counts (OPENBLAS_NUM_THREADS and the like): norms, overlaps
+and the one-mode matrix products run in BLAS, whose threaded reductions can
+move the last bit of a fidelity.
 """
 
 from __future__ import annotations
@@ -52,6 +55,11 @@ class SweepConfig:
             raise ConfigError(f"sigma must be finite and >= 0, got {self.sigmas}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        if self.decode_modes is not None and not (
+            isinstance(self.decode_modes, list)
+            and all(type(m) is int for m in self.decode_modes)
+        ):
+            raise ConfigError(f"decode_modes must be a list of ints, got {self.decode_modes!r}")
         try:
             error_from_config(self.error)
         except (KeyError, TypeError, ValueError) as exc:

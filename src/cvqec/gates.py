@@ -4,8 +4,10 @@ Two primitive gates and their inverses act on the discretized modes:
 
 * ``F`` (Fourier), the active rotation taking position to momentum eigenstates.
   On the grid it is the centered transform U[j, k] = (dx / sqrt(pi)) *
-  exp(2i * x_j * x_k), applied along one tensor axis.  It satisfies F^4 = I and
-  F^2 = per-mode parity (j -> (N - j) mod N) exactly.
+  exp(2i * x_j * x_k), applied as that N x N kernel (``grid.fourier_matrix``)
+  along one tensor axis, with no FFT; ``Finv`` applies its complex conjugate.
+  It satisfies F^4 = I and F^2 = per-mode parity (j -> (N - j) mod N) to
+  rounding (about 1e-15).
 * ``Sum`` (generalized XOR), adding the control's position into the target:
   basis index pair (j, k) -> (j, (k + j - N/2) mod N), i.e. x_t -> x_t + x_c
   with periodic wraparound.  ``SumInv`` is the inverse permutation.
@@ -14,12 +16,13 @@ Two primitive gates and their inverses act on the discretized modes:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .grid import GridError, MultiModeState
+from .grid import GridError, MultiModeState, apply_mode_matrix, fourier_matrix
 
 GATE_KINDS = ("F", "Finv", "Sum", "SumInv")
 
@@ -113,24 +116,6 @@ class Circuit:
             raise CircuitError(f"invalid circuit JSON structure: {exc}") from exc
 
 
-def apply_fourier(tensor: np.ndarray, axis: int, n: int, inverse: bool) -> np.ndarray:
-    """Centered Fourier gate along one axis via FFT.
-
-    The centered kernel factorizes as U = i^N * D * T * D with D = diag((-1)^j)
-    and T the unitary DFT with positive exponent, so the gate is an FFT plus
-    center-offset phase corrections and is exactly unitary.
-    """
-    j = np.arange(n)
-    d = np.where(j % 2, -1.0, 1.0)
-    shape = [1] * tensor.ndim
-    shape[axis] = n
-    d = d.reshape(shape)
-    phase = (1j) ** (n % 4)
-    if not inverse:
-        return phase * d * (np.sqrt(n) * np.fft.ifft(d * tensor, axis=axis))
-    return np.conj(phase) * d * (np.fft.fft(d * tensor, axis=axis) / np.sqrt(n))
-
-
 _SUM_PERM_CACHE: dict[tuple[int, bool], np.ndarray] = {}
 _SUM_FULL_CACHE: dict[tuple, np.ndarray] = {}
 _SUM_FULL_CACHE_LIMIT = 8_000_000  # total cached permutation entries
@@ -152,9 +137,7 @@ def _sum_flat_permutation(n: int, inverse: bool) -> np.ndarray:
 def _sum_full_permutation(shape: tuple[int, ...], control: int, target: int,
                           inverse: bool) -> np.ndarray | None:
     """Whole-tensor gather indices for a Sum gate; cached for small tensors."""
-    size = 1
-    for s in shape:
-        size *= s
+    size = math.prod(shape)
     if size > _SUM_FULL_CACHE_LIMIT // 4:
         return None
     key = (shape, control, target, inverse)
@@ -166,14 +149,9 @@ def _sum_full_permutation(shape: tuple[int, ...], control: int, target: int,
         n = shape[target]
         c0 = n // 2
         jc, jt = grids[control], grids[target]
-        src_t = (jt + jc - c0) % n if inverse else (jt - jc + c0) % n
-        strides = np.ones(len(shape), dtype=np.int64)
-        for ax in range(len(shape) - 2, -1, -1):
-            strides[ax] = strides[ax + 1] * shape[ax + 1]
-        flat = np.zeros(shape, dtype=np.int64)
-        for ax in range(len(shape)):
-            flat = flat + (src_t if ax == target else grids[ax]) * strides[ax]
-        perm = flat.reshape(-1)
+        src = list(grids)
+        src[target] = (jt + jc - c0) % n if inverse else (jt - jc + c0) % n
+        perm = np.ravel_multi_index(np.broadcast_arrays(*src), shape).reshape(-1)
         _SUM_FULL_CACHE[key] = perm
     return perm
 
@@ -193,10 +171,9 @@ def apply_gate(state: MultiModeState, gate: Gate) -> MultiModeState:
     if max(gate.modes) >= state.grid.mode_count:
         raise CircuitError(f"gate {gate} exceeds state mode count")
     n = state.grid.n_points
-    if gate.kind == "F":
-        out = apply_fourier(state.tensor, gate.modes[0], n, inverse=False)
-    elif gate.kind == "Finv":
-        out = apply_fourier(state.tensor, gate.modes[0], n, inverse=True)
+    if gate.kind in ("F", "Finv"):
+        u = fourier_matrix(n)
+        out = apply_mode_matrix(state.tensor, gate.modes[0], u if gate.kind == "F" else u.conj())
     elif gate.kind == "Sum":
         out = _apply_sum(state.tensor, gate.modes[0], gate.modes[1], n, inverse=False)
     else:

@@ -201,6 +201,31 @@ def _sample_and_collapse(
     return indices, collapsed
 
 
+def fourier_matrix(n: int) -> np.ndarray:
+    """The Fourier gate's kernel (dx / sqrt(pi)) exp(2i x_j x_k), as
+    exp(2 pi i ((j - N/2)(k - N/2) mod N) / N) / sqrt(N) from integer phases.
+    It is symmetric, so ``fourier_matrix(n).conj()`` is the inverse gate."""
+    _check_matrix_budget(n)
+    j = np.arange(n) - n // 2
+    return np.exp((2j * np.pi / n) * (np.outer(j, j) % n)) / math.sqrt(n)
+
+
+def apply_mode_matrix(tensor: np.ndarray, axis: int, matrix: np.ndarray) -> np.ndarray:
+    """Apply an N x N single-mode operator along one axis of a state tensor:
+    one matmul on the (lead, N, rest) view, or (lead, N) @ matrix.T when the
+    axis is the last one."""
+    shape = tensor.shape
+    lead = math.prod(shape[:axis])
+    if axis == len(shape) - 1:
+        return (tensor.reshape(lead, shape[axis]) @ matrix.T).reshape(shape)
+    return np.matmul(matrix, tensor.reshape(lead, shape[axis], -1)).reshape(shape)
+
+
+def _check_matrix_budget(n: int) -> None:
+    if n * n > MAX_AMPLITUDES:
+        raise GridError(f"a {n} x {n} matrix exceeds the amplitude budget")
+
+
 def apply_displacement(
     state: MultiModeState, mode: int, shift_points: int, momentum_kick: float = 0.0
 ) -> MultiModeState:
@@ -229,8 +254,10 @@ def apply_kernel_convolution(
 
     ``kernel[k]`` samples the error amplitude K at displacement y = x_k on the
     grid, so a delta kernel at y = k*dx acts as a position shift by -k points.
-    The map need not be unitary; the output is renormalized and the
-    pre-normalization norm is returned for diagnostics.
+    The error is the circulant C[x, y] = K[(y - x + N/2) mod N] applied along
+    the mode's axis with :func:`apply_mode_matrix`.  The map need not be
+    unitary; the output is renormalized and the pre-normalization norm is
+    returned for diagnostics.
     """
     _check_mode(state.grid, mode)
     kernel = np.asarray(kernel, dtype=np.complex128)
@@ -238,12 +265,10 @@ def apply_kernel_convolution(
         raise GridError(f"kernel shape {kernel.shape} != ({state.grid.n_points},)")
     if np.allclose(kernel, 0.0):
         raise GridError("all-zero kernel")
-    c0 = state.grid.center_index
-    out = np.zeros_like(state.tensor)
-    for k in range(state.grid.n_points):
-        if kernel[k] == 0.0:
-            continue
-        out += kernel[k] * np.roll(state.tensor, -(k - c0), axis=mode)
+    _check_matrix_budget(kernel.size)
+    j = np.arange(kernel.size)
+    circulant = kernel[(j[None, :] - j[:, None] + state.grid.center_index) % kernel.size]
+    out = apply_mode_matrix(state.tensor, mode, circulant)
     pre_norm = float(np.linalg.norm(out))
     if pre_norm == 0.0:
         raise GridError("kernel annihilated the state")
@@ -267,8 +292,7 @@ def reduced_density(state: MultiModeState, modes: Sequence[int]) -> np.ndarray:
     if n > 16 and len(modes) > 1:
         raise GridError("reduced_density limited to one mode for N > 16")
     d = n ** len(modes)
-    if d * d > MAX_AMPLITUDES:
-        raise GridError("reduced density exceeds the amplitude budget")
+    _check_matrix_budget(d)
     mat = np.moveaxis(state.tensor, modes, range(len(modes))).reshape(d, -1)
     return mat @ mat.conj().T
 
@@ -291,8 +315,6 @@ def form_value_distribution(state: MultiModeState, coeffs: np.ndarray) -> np.nda
 
     Entry ``k`` is the probability of reading the value (k - N/2) * dx.
     """
-    from .gates import apply_fourier  # local import to avoid a module cycle
-
     grid = state.grid
     n, m_modes, c0 = grid.n_points, grid.mode_count, grid.center_index
     coeffs = np.asarray(coeffs, dtype=float)
@@ -311,7 +333,7 @@ def form_value_distribution(state: MultiModeState, coeffs: np.ndarray) -> np.nda
     work = state.tensor
     for m in range(m_modes):
         if on_p[m]:
-            work = apply_fourier(work, m, n, inverse=True)
+            work = apply_mode_matrix(work, m, fourier_matrix(n).conj())
         total = total + int(round(eff[m])) * _along_axis(np.arange(n) - c0, m, m_modes)
     labels = np.mod(np.broadcast_to(total, work.shape) + c0, n)
     return np.bincount(

@@ -33,18 +33,35 @@ def dense_sum(n: int, inverse: bool = False) -> np.ndarray:
     return u
 
 
+def dense_convolution(n: int, kernel: np.ndarray) -> np.ndarray:
+    """N x N matrix of |x> -> sum_y K(y) |x - y>, with kernel[k] = K at the
+    displacement y = (k - N/2) grid points, built entry by entry."""
+    c0 = n // 2
+    u = np.zeros((n, n), dtype=complex)
+    for x in range(n):
+        for k in range(n):
+            u[(x - (k - c0)) % n, x] += kernel[k]
+    return u
+
+
+def dense_on_mode(u1: np.ndarray, mode: int, m: int) -> np.ndarray:
+    """Full N^M x N^M matrix of the one-mode operator u1 on ``mode``, by kron."""
+    n = u1.shape[0]
+    ops = [np.eye(n, dtype=complex)] * m
+    ops[mode] = u1
+    out = ops[0]
+    for op in ops[1:]:
+        out = np.kron(out, op)
+    return out
+
+
 def dense_gate(kind: str, modes: tuple[int, ...], m: int, n: int) -> np.ndarray:
     """Full N^M x N^M matrix of one gate by explicit kron products."""
     if kind in ("F", "Finv"):
         u1 = dense_fourier(n)
         if kind == "Finv":
             u1 = u1.conj().T
-        ops = [np.eye(n, dtype=complex)] * m
-        ops[modes[0]] = u1
-        out = ops[0]
-        for op in ops[1:]:
-            out = np.kron(out, op)
-        return out
+        return dense_on_mode(u1, modes[0], m)
     # Sum acts on a (control, target) pair; permute axes around the 2-mode kernel
     c, t = modes
     u2 = dense_sum(n, inverse=(kind == "SumInv")).astype(complex)

@@ -167,6 +167,32 @@ def test_sweep_is_byte_deterministic_across_runs_and_threads(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_braunstein5_convolution_sweep_is_byte_deterministic_across_threads(tmp_path):
+    # the repetition3 sweeps above meet no Fourier gate and no convolution
+    config = {
+        "code": "braunstein5", "grid_n": 8, "sigmas": [0.0, 0.5], "trials": 4, "seed": 3,
+        "error": {"kind": "convolution", "mode": 2, "kernel_width": 0.7},
+    }
+    cfg = tmp_path / "b5.json"
+    cfg.write_text(json.dumps(config))
+    outputs = []
+    old = os.environ.get("CVQEC_THREADS")
+    try:
+        for threads in ("1", "4"):
+            os.environ["CVQEC_THREADS"] = threads
+            out, trials = tmp_path / f"s{threads}.csv", tmp_path / f"t{threads}.csv"
+            assert run_cli(["sweep", "--config", str(cfg), "--out", str(out),
+                            "--trials-out", str(trials)]) == 0
+            outputs.append((out.read_bytes(), trials.read_bytes()))
+    finally:
+        if old is None:
+            os.environ.pop("CVQEC_THREADS", None)
+        else:
+            os.environ["CVQEC_THREADS"] = old
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1].splitlines()) == 1 + 2 * 4
+
+
 def test_sweep_fidelity_not_increasing_in_sigma(tmp_path):
     cfg = sweep_config(tmp_path, trials=150, sigmas=(0.0, 1.0, 3.0))
     out = tmp_path / "c.csv"
@@ -268,3 +294,11 @@ def test_out_of_range_decode_mode_in_sweep_config_is_usage_error(tmp_path, capsy
                     '"trials": 2, "seed": 1, "decode_modes": [7]}')
     assert run_cli(["sweep", "--config", str(path)]) == 2
     assert "decode mode(s) [7] out of range" in capsys.readouterr().err
+
+
+def test_non_list_decode_modes_in_sweep_config_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "modes.json"
+    path.write_text('{"code": "repetition3", "grid_n": 8, "sigmas": [0.0], '
+                    '"trials": 2, "seed": 1, "decode_modes": 7}')
+    assert run_cli(["sweep", "--config", str(path)]) == 2
+    assert "decode_modes must be a list of ints, got 7" in capsys.readouterr().err

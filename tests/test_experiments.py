@@ -39,3 +39,16 @@ def test_sweep_config_rejects_bad_error(error):
         SweepConfig(**BASE, error=error)
     with pytest.raises(ConfigError):
         SweepConfig.from_json(json.dumps({**BASE, "error": error}))
+
+
+@pytest.mark.parametrize("modes", [7, "0", ["a"], [0.5], [True], [0, None]])
+def test_sweep_config_rejects_bad_decode_modes(modes):
+    with pytest.raises(ConfigError, match="decode_modes must be a list of ints"):
+        SweepConfig(**BASE, decode_modes=modes)
+    with pytest.raises(ConfigError, match="decode_modes must be a list of ints"):
+        SweepConfig.from_json(json.dumps({**BASE, "decode_modes": modes}))
+
+
+@pytest.mark.parametrize("modes", [None, [], [0], [0, 2]])
+def test_sweep_config_accepts_list_of_int_decode_modes(modes):
+    assert SweepConfig(**BASE, decode_modes=modes).decode_modes == modes

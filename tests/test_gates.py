@@ -37,6 +37,9 @@ def as_state(vec, n, m):
     ("Sum", (2, 0), 3),
     ("SumInv", (0, 2), 3),
     ("F", (2,), 3),
+    ("F", (0,), 3),
+    ("Finv", (1,), 3),
+    ("F", (0,), 2),
 ])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_fast_path_matches_dense_matrix(kind, modes, m, seed):
@@ -48,6 +51,33 @@ def test_fast_path_matches_dense_matrix(kind, modes, m, seed):
 
     got = apply_gate(as_state(vec, n, m), Gate(kind, modes)).amplitudes
     assert np.max(np.abs(got - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["Sum", "SumInv"])
+@pytest.mark.parametrize("modes", [(0, 2), (2, 0), (1, 2)])
+def test_moveaxis_sum_path_matches_dense_matrix(monkeypatch, kind, modes):
+    # with no room for whole-tensor gathers every Sum takes the moveaxis path
+    from cvqec import gates
+    from cvqec.gates import Gate
+
+    monkeypatch.setattr(gates, "_SUM_FULL_CACHE_LIMIT", 0)
+    cached = dict(gates._SUM_FULL_CACHE)
+    n, m = 8, 3
+    vec = random_state(n, m, 5)
+    got = apply_gate(as_state(vec, n, m), Gate(kind, modes)).amplitudes
+    expected = dense_gate(kind, modes, m, n) @ vec.reshape(-1)
+    assert np.max(np.abs(got - expected)) < 1e-12
+    assert gates._SUM_FULL_CACHE == cached
+
+
+@pytest.mark.parametrize("n", [2, 6, 8, 12, 16, 32])
+def test_fourier_matrix_is_the_defining_kernel(n):
+    from cvqec.grid import fourier_matrix
+
+    u = fourier_matrix(n)
+    assert np.max(np.abs(u - dense_fourier(n))) < 1e-13
+    assert np.array_equal(u, u.T)
+    assert np.max(np.abs(u @ u.conj() - np.eye(n))) < 1e-13
 
 
 def test_dense_fourier_is_unitary_and_self_consistent():

@@ -27,7 +27,13 @@ from cvqec import (
     state_from_wavefunctions,
     sum_gate,
 )
-from oracle_helpers import dense_fourier, dense_partial_trace, random_state
+from oracle_helpers import (
+    dense_convolution,
+    dense_fourier,
+    dense_on_mode,
+    dense_partial_trace,
+    random_state,
+)
 
 
 def test_grid_spec_geometry():
@@ -239,6 +245,39 @@ def test_kernel_convolution_spreads_repetition_eigenstate():
         assert out.tensor[(c0 - y) % 16, 8, 8] == pytest.approx(complex(expect), abs=1e-12)
     # only mode 0 spread
     assert position_distribution(out, 1)[8] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("mode", [0, 1, 2])
+def test_kernel_convolution_matches_dense_matrix(mode):
+    n, m = 8, 3
+    vec = random_state(n, m, 21 + mode)
+    rng = np.random.default_rng(mode)
+    kernel = rng.normal(size=n) + 1j * rng.normal(size=n)
+    out, pre = apply_kernel_convolution(MultiModeState(GridSpec(n, m), vec.copy()), mode, kernel)
+    expected = dense_on_mode(dense_convolution(n, kernel), mode, m) @ vec.reshape(-1)
+    assert np.max(np.abs(pre * out.amplitudes - expected)) < 1e-12
+
+
+def test_mode_matrices_over_the_budget_are_refused_before_allocation():
+    import tracemalloc
+
+    from cvqec.grid import MAX_AMPLITUDES
+
+    n = 5832
+    assert (n - 2) ** 2 <= MAX_AMPLITUDES < n * n
+    g = GridSpec(n, 1)
+    st = make_product_state(g, [g.center_index])
+    kernel = gaussian_kernel(g, g.dx)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridError, match="amplitude budget"):
+            apply_gate(st, fourier(0))
+        with pytest.raises(GridError, match="amplitude budget"):
+            apply_kernel_convolution(st, 0, kernel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * n / 100  # far below one N x N complex matrix
 
 
 def test_kernel_convolution_rejects_zero_kernel():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from cvqec import (
     AmbiguousSyndromeError,
@@ -21,6 +23,7 @@ from cvqec import (
     direct_encoded_state,
     fidelity,
     form_value_distribution,
+    Gate,
     fourier,
     fourier_inv,
     gate_symplectic,
@@ -357,3 +360,40 @@ def test_decode_mode_out_of_range_is_a_plain_value_error(modes):
         with pytest.raises(ValueError, match="out of range") as info:
             decode_syndrome(code, syndrome, modes=modes)
         assert not isinstance(info.value, DecodeError)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=hs.sampled_from([2, 3]),
+    n=hs.sampled_from([6, 8]),
+    steps=hs.lists(
+        hs.tuples(hs.sampled_from(["F", "Finv", "Sum", "SumInv"]), hs.integers(0, 2),
+                  hs.integers(1, 2)),
+        min_size=1, max_size=8,
+    ),
+    d_all=hs.lists(hs.integers(-3, 3), min_size=6, max_size=6),
+    seed=hs.integers(0, 2**32 - 1),
+)
+def test_random_circuits_are_covariant_on_the_grid(m, n, steps, d_all, seed):
+    """C . D(d) = D(S d) . C for random F/Sum circuits, checked on the grid
+    engine against the independent symplectic engine."""
+    gates = []
+    for kind, first, offset in steps:
+        first %= m
+        other = (first + 1 + (offset - 1) % (m - 1)) % m
+        gates.append(Gate(kind, (first,) if kind in ("F", "Finv") else (first, other)))
+    circ = Circuit(m, tuple(gates))
+    rep = circuit_symplectic(circ)
+    assert rep.symplectic_defect() == 0
+    d = np.array(d_all[:m] + d_all[3:3 + m], dtype=float)  # shifts, then kicks in dx
+    sd = rep.matrix @ d
+    grid = GridSpec(n, m)
+    from cvqec import MultiModeState
+
+    st = MultiModeState(grid, random_state(n, m, seed))
+    lhs, rhs = st, apply_circuit(st, circ)
+    for mode in range(m):
+        lhs = apply_displacement(lhs, mode, int(d[mode]), d[m + mode] * grid.dx)
+        rhs = apply_displacement(rhs, mode, int(round(sd[mode])), sd[m + mode] * grid.dx)
+    lhs = apply_circuit(lhs, circ)
+    assert fidelity(lhs, rhs) >= 1 - 1e-12
