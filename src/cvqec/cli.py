@@ -173,7 +173,7 @@ def cmd_transpile(args: argparse.Namespace) -> int:
         return 0
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    verdicts = enumerate_valid_assignments(qc, grid_n=args.grid_n)
+    verdicts = enumerate_valid_assignments(qc)
     lines = ["assignment,parity_ok,correctable,degenerate,valid,failing_pairs"]
     any_valid = False
     for v in verdicts:
@@ -271,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="qubit circuit JSON path, or 'builtin' for the five-qubit fixture")
     p.add_argument("--enumerate", action="store_true",
                    help="enumerate sign assignments and write verdicts")
-    p.add_argument("--grid-n", type=int, default=8,
-                   help="grid size for the parity filter (default %(default)s)")
     p.add_argument("--out-dir", default=None, help="directory for circuits and verdicts.csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_transpile)

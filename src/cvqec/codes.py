@@ -21,7 +21,7 @@ equalities are exact, so encoder-versus-formula tests run at machine precision.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -53,6 +53,10 @@ class CodeSpec:
     nullifiers: tuple[Nullifier, ...] = ()
     raw_nullifiers: tuple[Nullifier, ...] = ()
     metadata: dict = field(default_factory=dict)
+    #: quadrature forms the syndrome circuit reads out, one ancilla each
+    #: (default: the nullifier rows).  A readout choice, not part of the code,
+    #: so equality ignores it.
+    readout_forms: tuple[tuple[float, ...], ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         if self.encoder.mode_count != self.mode_count:
@@ -64,6 +68,10 @@ class CodeSpec:
             raise ValueError("need M - 1 nullifiers")
         if np.linalg.matrix_rank(self.syndrome_matrix(), tol=1e-9) != self.mode_count - 1:
             raise ValueError("nullifiers are linearly dependent")
+        if not self.readout_forms:
+            object.__setattr__(self, "readout_forms", tuple(n.coeffs for n in self.nullifiers))
+        if any(len(row) != 2 * self.mode_count for row in self.readout_forms):
+            raise ValueError("readout forms must have 2M coefficients")
 
     @classmethod
     def from_encoder(cls, name: str, encoder: Circuit) -> "CodeSpec":
@@ -116,9 +124,13 @@ class CodeSpec:
 
 @lru_cache(maxsize=None)
 def build_repetition3() -> CodeSpec:
-    """Three-mode position repetition subcode |x> -> |x, x, x>."""
+    """Three-mode position repetition subcode |x> -> |x, x, x>.  Its syndrome
+    circuit reads the three cyclic differences x_j - x_{j+1}, redundant since
+    only two are independent."""
     encoder = Circuit(3, (sum_gate(0, 1), sum_gate(0, 2)))
-    return CodeSpec.from_encoder("repetition3", encoder)
+    differences = np.hstack([np.eye(3) - np.roll(np.eye(3), 1, axis=1), np.zeros((3, 3))])
+    readout = tuple(map(tuple, differences.tolist()))
+    return replace(CodeSpec.from_encoder("repetition3", encoder), readout_forms=readout)
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -36,6 +37,16 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _config_int(name: str, value) -> int:
+    """An integer config entry; a bool or a non-integral number is refused
+    rather than truncated."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class SweepConfig:
     code: str
@@ -49,6 +60,10 @@ class SweepConfig:
     decode_modes: list[int] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("grid_n", "trials", "seed", "repetitions"):
+            setattr(self, name, _config_int(name, getattr(self, name)))
+        if not self.sigmas:
+            raise ConfigError("sigmas must not be empty")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if any(not math.isfinite(s) or s < 0 for s in self.sigmas):
@@ -74,11 +89,11 @@ class SweepConfig:
         try:
             return SweepConfig(
                 code=payload["code"],
-                grid_n=int(payload["grid_n"]),
+                grid_n=payload["grid_n"],
                 sigmas=[float(s) for s in payload["sigmas"]],
-                trials=int(payload["trials"]),
-                seed=int(payload["seed"]),
-                repetitions=int(payload.get("repetitions", 1)),
+                trials=payload["trials"],
+                seed=payload["seed"],
+                repetitions=payload.get("repetitions", 1),
                 logical=payload.get("logical", {"kind": "eigenstate", "index": None}),
                 error=payload.get("error", {"kind": "displacement", "mode": 0, "shift": 2}),
                 decode_modes=payload.get("decode_modes"),
@@ -93,14 +108,14 @@ def logical_wavefunction(spec: dict, grid: GridSpec) -> np.ndarray:
     n = grid.n_points
     if kind == "eigenstate":
         index = spec.get("index")
-        idx = grid.center_index if index is None else int(index)
+        idx = grid.center_index if index is None else _config_int("logical index", index)
         if not 0 <= idx < n:
             raise ConfigError(f"logical index {idx} out of range")
         psi = np.zeros(n, dtype=np.complex128)
         psi[idx] = 1.0
         return psi
     if kind == "two_peak":
-        sep = int(spec.get("separation", n // 4))
+        sep = _config_int("separation", spec.get("separation", n // 4))
         c0 = grid.center_index
         psi = np.zeros(n, dtype=np.complex128)
         psi[(c0 - sep // 2) % n] = 1.0
@@ -123,11 +138,14 @@ def error_from_config(spec: dict, dx: float = 1.0) -> ErrorSpec:
         return ErrorSpec.none()
     if kind == "displacement":
         return ErrorSpec.displacement(
-            int(spec.get("mode", 0)), spec.get("shift", 0),
+            _config_int("error mode", spec.get("mode", 0)),
+            _config_int("shift", spec.get("shift", 0)),
             float(spec.get("kick", 0.0)) * dx,
         )
     if kind == "convolution":
-        return ErrorSpec.convolution(int(spec.get("mode", 0)), float(spec["kernel_width"]) * dx)
+        return ErrorSpec.convolution(
+            _config_int("error mode", spec.get("mode", 0)), float(spec["kernel_width"]) * dx
+        )
     raise ConfigError(f"unknown error kind {kind!r}")
 
 

@@ -382,8 +382,20 @@ def save_state(state: MultiModeState, path_prefix: str | Path) -> tuple[Path, Pa
 
 def load_state(path_prefix: str | Path) -> MultiModeState:
     prefix = Path(path_prefix)
-    header = json.loads(prefix.with_suffix(".json").read_text())
-    grid = GridSpec(int(header["n_points"]), int(header["mode_count"]))
+    json_path = prefix.with_suffix(".json")
+    try:
+        header = json.loads(json_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise GridError(f"state header {json_path} is not valid JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise GridError(f"state header {json_path} must be a JSON object")
+    sizes = []
+    for key in ("n_points", "mode_count"):
+        value = header.get(key)
+        if type(value) is not int:
+            raise GridError(f"state header {key} must be an integer, got {value!r}")
+        sizes.append(value)
+    grid = GridSpec(*sizes)
     bin_path = prefix.with_suffix(".bin")
     if bin_path.stat().st_size != 16 * grid.n_points**grid.mode_count:
         raise GridError("amplitude count does not match header")

@@ -17,7 +17,6 @@ linear quadrature combinations with value exactly zero on every encoded state
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
@@ -161,35 +160,36 @@ def measurement_basis(nullifiers: Sequence[Nullifier], m_modes: int) -> list[Nul
 
     Such rows are diagonalizable by per-mode Fourier rotations and can be
     accumulated into a single ancilla with Sum gates, which is what the
-    syndrome circuits need.  The search is a deterministic scan over small
-    integer combinations of the raw rows; rows are ranked position-only first,
-    then by L1 weight.  Raises if no spanning friendly basis exists.
+    syndrome circuits need.  The search scans the integer combinations of the
+    raw rows with coefficients in [-2, 2], one array pass per leading
+    coefficient.  Friendly rows are sign-normalized (a flipped row keeps -0.0
+    zeros), deduplicated keeping the first occurrence, ranked position-only
+    first, then by L1 weight, then lexicographically, and picked greedily.
+    Raises if no spanning friendly basis exists.
     """
-    raw = np.array([n.as_array() for n in nullifiers])
-    k = raw.shape[0]
-    candidates = []
-    for combo in itertools.product(range(-2, 3), repeat=k):
-        if all(c == 0 for c in combo):
-            continue
-        row = np.asarray(combo, dtype=float) @ raw
-        row = np.where(np.abs(row) < 1e-9, 0.0, row)
-        if not _row_friendly(row, m_modes):
-            continue
-        first = np.argmax(np.abs(row) > 1e-9)
-        if row[first] < 0:
-            row = -row
-        candidates.append(np.round(row))
-    uniq: list[np.ndarray] = []
-    for row in candidates:
-        if not any(np.array_equal(row, u) for u in uniq):
-            uniq.append(row)
-    uniq.sort(
-        key=lambda r: (
-            bool(np.any(np.abs(r[m_modes:]) > 0)),
-            float(np.sum(np.abs(r))),
-            tuple(r),
-        )
-    )
+    k = len(nullifiers)
+    raw = np.array([n.as_array() for n in nullifiers]).reshape(k, 2 * m_modes)
+    combos = np.indices((5,) * k, dtype=np.int8).reshape(k, 5**k).T - 2
+    blocks = []
+    for block in np.array_split(combos, 5):  # one leading coefficient each
+        block = block[np.any(block != 0, axis=1)]
+        rows = block.astype(float) @ raw
+        nonzero = np.abs(rows) > 1e-9
+        rows[~nonzero] = 0.0
+        mixed = np.any(nonzero[:, :m_modes] & nonzero[:, m_modes:], axis=1)
+        unit = np.all(~nonzero | (np.abs(np.abs(rows) - 1.0) < 1e-9), axis=1)
+        rows, nonzero = rows[~mixed & unit], nonzero[~mixed & unit]
+        flip = rows[np.arange(len(rows)), np.argmax(nonzero, axis=1)] < 0
+        rows[flip] = -rows[flip]
+        blocks.append(np.round(rows))
+    candidates = np.concatenate(blocks)
+    # + 0.0 maps -0.0 to 0.0, so rows that differ only in signed zeros match
+    _, first_seen = np.unique(candidates + 0.0, axis=0, return_index=True)
+    uniq = candidates[first_seen]
+    # lexsort keys run from minor to major
+    weight = np.sum(np.abs(uniq), axis=1)
+    has_p = np.any(uniq[:, m_modes:] != 0, axis=1)
+    uniq = uniq[np.lexsort(tuple(uniq[:, ::-1].T) + (weight, has_p))]
     picked: list[np.ndarray] = []
     for row in uniq:
         trial = picked + [row]
@@ -200,14 +200,6 @@ def measurement_basis(nullifiers: Sequence[Nullifier], m_modes: int) -> list[Nul
     if len(picked) != k:
         raise ValueError("no measurement-friendly nullifier basis found")
     return [Nullifier(tuple(r)) for r in picked]
-
-
-def _row_friendly(row: np.ndarray, m_modes: int) -> bool:
-    for m in range(m_modes):
-        if abs(row[m]) > 1e-9 and abs(row[m_modes + m]) > 1e-9:
-            return False
-    nz = row[np.abs(row) > 1e-9]
-    return bool(np.all(np.abs(np.abs(nz) - 1.0) < 1e-9))
 
 
 def syndrome_matrix(nullifiers: Sequence[Nullifier]) -> np.ndarray:

@@ -141,23 +141,8 @@ class SyndromePlan:
     decoded_shift: np.ndarray  # integer S^-1: physical displacement -> decoded frame
 
 
-def _pairwise_difference_forms(m_modes: int) -> list[np.ndarray]:
-    """Redundant cyclic position differences (x_j - x_{j+1}); three readouts
-    for the repetition code even though only two are independent."""
-    rows = []
-    for j in range(m_modes):
-        k = (j + 1) % m_modes
-        row = np.zeros(2 * m_modes)
-        row[j] = 1.0
-        row[k] = -1.0
-        rows.append(row)
-    return rows
-
-
 def measured_forms(code: CodeSpec) -> list[np.ndarray]:
-    if code.name == "repetition3":
-        return _pairwise_difference_forms(code.mode_count)
-    return [n.as_array() for n in code.nullifiers]
+    return [np.asarray(row, dtype=float) for row in code.readout_forms]
 
 
 def build_syndrome_circuit(code: CodeSpec) -> SyndromePlan:

@@ -4,13 +4,17 @@ A qubit circuit over {H, H inverse, XOR} translates gate-for-gate into the
 continuous gate set: Hadamard-type rotations become Fourier gates and each XOR
 becomes either Sum or SumInv.  The XOR direction is genuinely ambiguous, so the
 translator enumerates it: XORs whose target is a fresh zero-position ancilla
-are fixed to Sum (either choice passes the parity filter there), and every
-remaining XOR contributes one free bit.  Each candidate assignment is scored
-with two filters:
+are fixed to Sum, and every remaining XOR contributes one free bit.  Each
+candidate assignment is scored at symplectic cost by the
+displacement-correctability check of
+:func:`cvqec.symplectic.check_correctability`.
 
-* parity covariance on the grid: encoding the eigenstate at x must equal the
-  per-mode parity image of encoding the eigenstate at -x, up to global phase;
-* the displacement-correctability check of :func:`cvqec.symplectic.check_correctability`.
+Every candidate is also parity covariant, without a grid run: global parity
+(j -> -j mod N on every mode, x -> -x) commutes with every gate of the set.
+The Fourier kernel depends only on the product (j - N/2)(k - N/2), Sum is
+linear mod N, and a zero-position ancilla at N/2 is its own parity image, so
+encoding the eigenstate at -x is the parity image of encoding the one at x.
+:func:`parity_covariant` keeps the grid reading of that claim as an oracle.
 
 Candidates with no correctable structure at all (no mode passes injectivity,
 as happens for toy circuits that build no code) are reported as degenerate
@@ -143,7 +147,9 @@ def substitute(qc: QubitCircuit, assignment: Sequence[bool]) -> Circuit:
 
 def first_layer_xor_indices(qc: QubitCircuit) -> list[int]:
     """XORs whose target has not been touched by any earlier gate (a fresh
-    zero-position ancilla once substituted)."""
+    zero-position ancilla once substituted).  On such a target SumInv differs
+    from Sum only by a parity on the fresh ancilla right after the gate, so
+    the enumeration fixes these to Sum by convention."""
     touched: set[int] = {0}  # the logical input mode is never a fresh ancilla
     out = []
     for i, g in enumerate(qc.gates):
@@ -172,8 +178,9 @@ def candidate_code(qc: QubitCircuit, assignment: Sequence[bool]) -> CodeSpec:
 
 
 def parity_covariant(code: CodeSpec, grid_n: int = 8, tol: float = 1e-9) -> bool:
-    """Grid reading of the parity filter: for every eigenstate index j,
-    parity(encode|x_j>) must match encode|x_{-j}> up to global phase."""
+    """Grid oracle for the parity covariance the module docstring proves: for
+    every eigenstate index j, parity(encode|x_j>) must match encode|x_{-j}>
+    up to global phase."""
     grid = GridSpec(grid_n, 1)
     eigenstates = np.eye(grid_n, dtype=np.complex128)
     for j in range(grid_n):
@@ -188,8 +195,11 @@ def enumerate_valid_assignments(
     qc: QubitCircuit, grid_n: int = 8
 ) -> list[AssignmentVerdict]:
     """Fix first-layer XORs to Sum, enumerate the rest, and score every
-    candidate with the parity and correctability filters.  Deterministic:
-    candidates are emitted in lexicographic bit order (False = Sum first)."""
+    candidate with the correctability check.  ``parity_ok`` is True for every
+    candidate, as the gate set guarantees (see the module docstring), so no
+    candidate is encoded on a grid; ``grid_n`` is accepted and ignored.
+    Deterministic: candidates are emitted in lexicographic bit order (False =
+    Sum first)."""
     xors = qc.xor_indices()
     fixed = set(first_layer_xor_indices(qc))
     free = [i for i in xors if i not in fixed]
@@ -197,11 +207,9 @@ def enumerate_valid_assignments(
     for bits in itertools.product((False, True), repeat=len(free)):
         by_index = dict(zip(free, bits))
         assignment = tuple(by_index.get(i, False) for i in xors)
-        code = candidate_code(qc, assignment)
-        report = check_correctability(code)
+        report = check_correctability(candidate_code(qc, assignment))
         degenerate = not any(report.mode_injective)
-        parity_ok = parity_covariant(code, grid_n)
-        verdicts.append(AssignmentVerdict(assignment, report, parity_ok, degenerate))
+        verdicts.append(AssignmentVerdict(assignment, report, True, degenerate))
     return verdicts
 
 

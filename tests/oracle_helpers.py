@@ -1,9 +1,11 @@
-"""Independent dense-matrix oracles used by the tests.
+"""Independent dense-matrix oracles and reference scans used by the tests.
 
 Everything here is built from the defining formulas directly (explicit N x N
-and N^M x N^M matrices, brute-force partial traces), never from the package's
-fast paths, so agreement is a real two-route check.
+and N^M x N^M matrices, brute-force partial traces, one-at-a-time loops),
+never from the package's fast paths, so agreement is a real two-route check.
 """
+
+import itertools
 
 import numpy as np
 
@@ -109,3 +111,60 @@ def random_state(n: int, m: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n,) * m) + 1j * rng.normal(size=(n,) * m)
     return v / np.linalg.norm(v)
+
+
+def scan_measurement_basis(raw_rows: np.ndarray, m_modes: int) -> np.ndarray:
+    """Reference for ``symplectic.measurement_basis``: the one-combination-at-a-
+    time scan over coefficients in [-2, 2]^K with a pairwise dedupe and a
+    Python sort.  Returns the picked rows as a (K, 2M) array, signed zeros
+    included; raises ValueError when no friendly basis spans the rows."""
+    raw = np.asarray(raw_rows, dtype=float)
+    k = raw.shape[0]
+    candidates = []
+    for combo in itertools.product(range(-2, 3), repeat=k):
+        if all(c == 0 for c in combo):
+            continue
+        row = np.asarray(combo, dtype=float) @ raw
+        row = np.where(np.abs(row) < 1e-9, 0.0, row)
+        big = np.abs(row) > 1e-9
+        if np.any(big[:m_modes] & big[m_modes:]):
+            continue
+        if not np.all(np.abs(np.abs(row[big]) - 1.0) < 1e-9):
+            continue
+        if row[np.argmax(big)] < 0:
+            row = -row
+        candidates.append(np.round(row))
+    uniq: list[np.ndarray] = []
+    for row in candidates:
+        if not any(np.array_equal(row, u) for u in uniq):
+            uniq.append(row)
+    uniq.sort(
+        key=lambda r: (
+            bool(np.any(np.abs(r[m_modes:]) > 0)),
+            float(np.sum(np.abs(r))),
+            tuple(r),
+        )
+    )
+    picked: list[np.ndarray] = []
+    for row in uniq:
+        if np.linalg.matrix_rank(np.array(picked + [row]), tol=1e-9) == len(picked) + 1:
+            picked.append(row)
+        if len(picked) == k:
+            break
+    if len(picked) != k:
+        raise ValueError("no measurement-friendly nullifier basis found")
+    return np.array(picked).reshape(k, 2 * m_modes)
+
+
+def circuit_from_steps(m: int, steps):
+    """A circuit on ``m`` modes from (kind, first, offset) draws: one-mode
+    gates act on ``first mod m``; two-mode gates pair it with a distinct
+    mode chosen by ``offset``."""
+    from cvqec import Circuit, Gate
+
+    gates = []
+    for kind, first, offset in steps:
+        first %= m
+        other = (first + 1 + (offset - 1) % (m - 1)) % m
+        gates.append(Gate(kind, (first,) if kind in ("F", "Finv") else (first, other)))
+    return Circuit(m, tuple(gates))

@@ -302,3 +302,35 @@ def test_non_list_decode_modes_in_sweep_config_is_usage_error(tmp_path, capsys):
                     '"trials": 2, "seed": 1, "decode_modes": 7}')
     assert run_cli(["sweep", "--config", str(path)]) == 2
     assert "decode_modes must be a list of ints, got 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("trials", 2.5), ("trials", True), ("sigmas", []), ("logical", {"index": 3.7}),
+])
+def test_non_integer_sweep_config_is_usage_error(tmp_path, capsys, key, value):
+    config = {"code": "repetition3", "grid_n": 8, "sigmas": [0.0], "trials": 2, "seed": 1}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**config, key: value}))
+    out = tmp_path / "out.csv"
+    assert run_cli(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["inject", "decode"])
+@pytest.mark.parametrize("header,message", [
+    ('{"mode_count": 3}', "n_points must be an integer, got None"),
+    ("[16, 3]", "must be a JSON object"),
+    ('{"n_points": 8, "mode_count": 3.5}', "mode_count must be an integer, got 3.5"),
+    ("{", "is not valid JSON"),
+])
+def test_bad_state_header_is_usage_error(tmp_path, capsys, command, header, message):
+    enc = tmp_path / "enc"
+    assert run_cli(["encode", "--code", "repetition3", "--grid-n", "8",
+                    "--out", str(enc)]) == 0
+    capsys.readouterr()
+    (tmp_path / "enc.json").write_text(header)
+    argv = [command, "--in", str(enc)]
+    argv += ["--out", str(tmp_path / "bad")] if command == "inject" else ["--code", "repetition3"]
+    assert run_cli(argv) == 2
+    assert message in capsys.readouterr().err

@@ -255,3 +255,17 @@ def test_zero_eigenstate_encodes_to_all_zero_tuple():
     enc = encode(eigenstate(8, 4), code, grid)
     ref = make_product_state(grid, [4, 4, 4])
     assert fidelity(enc, ref) == pytest.approx(1.0)
+
+
+def test_readout_forms_are_code_data():
+    # repetition3 reads the three cyclic differences x_j - x_{j+1}; every other
+    # code reads its nullifier rows; neither is part of the serialized code
+    rep = build_repetition3()
+    assert rep.readout_forms == (
+        (1.0, -1.0, 0.0, 0.0, 0.0, 0.0),
+        (0.0, 1.0, -1.0, 0.0, 0.0, 0.0),
+        (-1.0, 0.0, 1.0, 0.0, 0.0, 0.0),
+    )
+    for code in (build_shor9(), build_braunstein5()):
+        assert code.readout_forms == tuple(n.coeffs for n in code.nullifiers)
+    assert "readout" not in rep.to_json()

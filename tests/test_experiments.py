@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from cvqec.experiments import ConfigError, SweepConfig
+from cvqec.experiments import ConfigError, SweepConfig, logical_wavefunction
+from cvqec.grid import GridSpec
 
 BASE = {"code": "repetition3", "grid_n": 8, "sigmas": [0.0, 1.0], "trials": 2, "seed": 1}
 
@@ -52,3 +53,48 @@ def test_sweep_config_rejects_bad_decode_modes(modes):
 @pytest.mark.parametrize("modes", [None, [], [0], [0, 2]])
 def test_sweep_config_accepts_list_of_int_decode_modes(modes):
     assert SweepConfig(**BASE, decode_modes=modes).decode_modes == modes
+
+
+@pytest.mark.parametrize("key,value", [
+    ("trials", 2.5), ("grid_n", 8.9), ("seed", 1.5), ("repetitions", 1.5),
+    ("trials", True), ("grid_n", True), ("seed", False), ("repetitions", True),
+    ("trials", "2"),
+])
+def test_sweep_config_refuses_non_integer_counts(key, value):
+    # these used to be truncated (2.5 -> 2, true -> 1) into a plausible CSV
+    with pytest.raises(ConfigError, match=f"{key} must be an integer, got {value!r}"):
+        SweepConfig(**{**BASE, key: value})
+    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+        SweepConfig.from_json(json.dumps({**BASE, key: value}))
+
+
+def test_sweep_config_accepts_integral_floats_as_ints():
+    config = SweepConfig.from_json(json.dumps({**BASE, "grid_n": 8.0, "trials": 2.0}))
+    assert (config.grid_n, config.trials) == (8, 2)
+    assert type(config.grid_n) is int and type(config.trials) is int
+
+
+def test_sweep_config_refuses_empty_sigmas():
+    with pytest.raises(ConfigError, match="sigmas must not be empty"):
+        SweepConfig.from_json(json.dumps({**BASE, "sigmas": []}))
+
+
+@pytest.mark.parametrize("error", [
+    {"kind": "displacement", "mode": 1.5, "shift": 1},
+    {"kind": "displacement", "mode": True, "shift": 1},
+    {"kind": "convolution", "mode": 1.5, "kernel_width": 1.0},
+    {"kind": "displacement", "mode": 0, "shift": True},
+])
+def test_sweep_config_refuses_non_integer_error_fields(error):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        SweepConfig(**BASE, error=error)
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"kind": "eigenstate", "index": 3.7}, "logical index must be an integer"),
+    ({"kind": "eigenstate", "index": True}, "logical index must be an integer"),
+    ({"kind": "two_peak", "separation": 2.5}, "separation must be an integer"),
+])
+def test_logical_spec_refuses_non_integer_fields(spec, message):
+    with pytest.raises(ConfigError, match=message):
+        logical_wavefunction(spec, GridSpec(8, 1))

@@ -1,3 +1,4 @@
+import json
 import tempfile
 from pathlib import Path
 
@@ -354,3 +355,21 @@ def test_state_file_roundtrip_and_truncation(n, m, seed, cut):
         bin_path.write_bytes(bin_path.read_bytes()[:-cut])
         with pytest.raises(GridError, match="amplitude count does not match header"):
             load_state(prefix)
+
+
+@pytest.mark.parametrize("header,message", [
+    ({"mode_count": 2}, "n_points must be an integer, got None"),
+    ({"n_points": 8}, "mode_count must be an integer, got None"),
+    ([8, 2], "must be a JSON object"),
+    ({"n_points": 8, "mode_count": 1.5}, "mode_count must be an integer, got 1.5"),
+    ({"n_points": 8.0, "mode_count": 1}, "n_points must be an integer, got 8.0"),
+    ({"n_points": 8, "mode_count": True}, "mode_count must be an integer, got True"),
+])
+def test_load_state_refuses_bad_headers(tmp_path, header, message):
+    # a missing key used to end in a KeyError, a list in a TypeError, and a
+    # fractional mode count was truncated
+    json_path, _ = save_state(MultiModeState(GridSpec(8, 1), np.eye(8)[3].astype(complex)),
+                              tmp_path / "state")
+    json_path.write_text(json.dumps(header))
+    with pytest.raises(GridError, match=message):
+        load_state(tmp_path / "state")

@@ -34,7 +34,7 @@ from cvqec import (
     syndrome_matrix,
 )
 from cvqec.symplectic import DecodeError
-from oracle_helpers import random_state
+from oracle_helpers import circuit_from_steps, random_state, scan_measurement_basis
 
 
 def symplectic_defect(s, m):
@@ -377,12 +377,7 @@ def test_decode_mode_out_of_range_is_a_plain_value_error(modes):
 def test_random_circuits_are_covariant_on_the_grid(m, n, steps, d_all, seed):
     """C . D(d) = D(S d) . C for random F/Sum circuits, checked on the grid
     engine against the independent symplectic engine."""
-    gates = []
-    for kind, first, offset in steps:
-        first %= m
-        other = (first + 1 + (offset - 1) % (m - 1)) % m
-        gates.append(Gate(kind, (first,) if kind in ("F", "Finv") else (first, other)))
-    circ = Circuit(m, tuple(gates))
+    circ = circuit_from_steps(m, steps)
     rep = circuit_symplectic(circ)
     assert rep.symplectic_defect() == 0
     d = np.array(d_all[:m] + d_all[3:3 + m], dtype=float)  # shifts, then kicks in dx
@@ -397,3 +392,36 @@ def test_random_circuits_are_covariant_on_the_grid(m, n, steps, d_all, seed):
         rhs = apply_displacement(rhs, mode, int(round(sd[mode])), sd[m + mode] * grid.dx)
     lhs = apply_circuit(lhs, circ)
     assert fidelity(lhs, rhs) >= 1 - 1e-12
+
+
+GATE_STEPS = hs.tuples(
+    hs.sampled_from(["F", "Finv", "Sum", "SumInv"]), hs.integers(0, 4), hs.integers(1, 4)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=hs.integers(2, 5), steps=hs.lists(GATE_STEPS, min_size=1, max_size=8))
+def test_measurement_basis_matches_the_reference_scan(m, steps):
+    """The array pass picks the same rows, in the same order and with the same
+    signed zeros, as the one-combination-at-a-time scan; a raise matches a
+    raise."""
+    raw = CodeSpec.from_encoder("random", circuit_from_steps(m, steps)).raw_nullifiers
+    try:
+        want = scan_measurement_basis(np.array([n.coeffs for n in raw]), m)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            measurement_basis(raw, m)
+        return
+    got = np.array([n.coeffs for n in measurement_basis(raw, m)])
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_measurement_basis_keeps_the_signed_zeros_of_the_first_occurrence():
+    # the five-mode basis has sign-flipped rows, whose zeros are -0.0
+    code = build_braunstein5()
+    rows = np.array([n.coeffs for n in code.nullifiers])
+    want = scan_measurement_basis(np.array([n.coeffs for n in code.raw_nullifiers]), 5)
+    assert np.signbit(rows[rows == 0]).any()
+    assert np.array_equal(rows, want)
+    assert np.array_equal(np.signbit(rows), np.signbit(want))

@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from cvqec import (
     Circuit,
+    CodeSpec,
     FIVE_QUBIT_SIGN_ASSIGNMENT,
     GridSpec,
     QubitCircuit,
@@ -20,7 +24,9 @@ from cvqec import (
     parse_qubit_circuit,
     substitute,
 )
+from cvqec import codes, transpile
 from cvqec.transpile import candidate_code, first_layer_xor_indices, parity_covariant
+from oracle_helpers import circuit_from_steps
 
 
 def test_parse_empty_circuit():
@@ -187,3 +193,40 @@ def test_emitted_repetition_fixture_loads_and_matches_builtin():
     from cvqec import build_repetition3
 
     assert Circuit.from_json(text) == build_repetition3().encoder
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=hs.integers(2, 4),
+    n=hs.sampled_from([6, 8]),
+    steps=hs.lists(
+        hs.tuples(hs.sampled_from(["F", "Finv", "Sum", "SumInv"]), hs.integers(0, 3),
+                  hs.integers(1, 3)),
+        min_size=1, max_size=8,
+    ),
+)
+def test_every_circuit_of_the_gate_set_is_parity_covariant_on_the_grid(m, n, steps):
+    # the enumeration sets parity_ok from this identity instead of checking it
+    code = CodeSpec.from_encoder("random", circuit_from_steps(m, steps))
+    assert parity_covariant(code, grid_n=n)
+
+
+def test_enumeration_runs_no_grid_encode(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the enumeration must not touch the grid")
+
+    monkeypatch.setattr(transpile, "parity_covariant", refuse)
+    monkeypatch.setattr(transpile, "encode", refuse)
+    monkeypatch.setattr(codes, "encode", refuse)
+    golden = json.loads((Path(__file__).parent / "data" / "recorded_codes.json").read_text())
+    verdicts = enumerate_valid_assignments(builtin_five_qubit_circuit())
+    got = [
+        {
+            "assignment": "".join("1" if b else "0" for b in v.assignment),
+            "parity_ok": v.parity_ok,
+            "all_pass": v.report.all_pass,
+            "degenerate": v.degenerate,
+        }
+        for v in verdicts
+    ]
+    assert got == [{k: want[k] for k in got[0]} for want in golden["verdicts"]]
