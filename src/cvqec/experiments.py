@@ -47,6 +47,14 @@ def _config_int(name: str, value) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _config_float(name: str, value) -> float:
+    """A real-valued config entry; a bool or a string is refused rather than
+    read as a number."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass
 class SweepConfig:
     code: str
@@ -62,8 +70,11 @@ class SweepConfig:
     def __post_init__(self) -> None:
         for name in ("grid_n", "trials", "seed", "repetitions"):
             setattr(self, name, _config_int(name, getattr(self, name)))
+        if not isinstance(self.sigmas, (list, tuple)):
+            raise ConfigError(f"sigmas must be a list, got {self.sigmas!r}")
         if not self.sigmas:
             raise ConfigError("sigmas must not be empty")
+        self.sigmas = [_config_float("sigma", s) for s in self.sigmas]
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if any(not math.isfinite(s) or s < 0 for s in self.sigmas):
@@ -90,7 +101,7 @@ class SweepConfig:
             return SweepConfig(
                 code=payload["code"],
                 grid_n=payload["grid_n"],
-                sigmas=[float(s) for s in payload["sigmas"]],
+                sigmas=payload["sigmas"],
                 trials=payload["trials"],
                 seed=payload["seed"],
                 repetitions=payload.get("repetitions", 1),
@@ -140,11 +151,12 @@ def error_from_config(spec: dict, dx: float = 1.0) -> ErrorSpec:
         return ErrorSpec.displacement(
             _config_int("error mode", spec.get("mode", 0)),
             _config_int("shift", spec.get("shift", 0)),
-            float(spec.get("kick", 0.0)) * dx,
+            _config_float("kick", spec.get("kick", 0.0)) * dx,
         )
     if kind == "convolution":
         return ErrorSpec.convolution(
-            _config_int("error mode", spec.get("mode", 0)), float(spec["kernel_width"]) * dx
+            _config_int("error mode", spec.get("mode", 0)),
+            _config_float("kernel_width", spec["kernel_width"]) * dx,
         )
     raise ConfigError(f"unknown error kind {kind!r}")
 

@@ -127,6 +127,28 @@ def circuit_symplectic(circuit: Circuit) -> SymplecticRep:
     return SymplecticRep(circuit.mode_count, s)
 
 
+def weyl_phase_form(circuit: Circuit) -> np.ndarray:
+    """Integer form Q with C W(v) C^dag = omega^(v.Q.v) W(S v) on the N-point
+    grid, for every N.
+
+    W(v) is the product over modes of X^a_m Z^b_m for v = (a, b) in whole
+    grid steps (X shifts by one point, Z kicks by dx), omega = exp(2 pi i / N)
+    and S the circuit's symplectic matrix.  Sum gates permute these Weyl
+    operators without a phase; F and Finv on mode m take X^a Z^b to
+    omega^(-ab) times the rotated operator, so each adds -a_m b_m of the
+    vector it meets.
+    """
+    m = circuit.mode_count
+    s = np.eye(2 * m, dtype=np.int64)
+    q = np.zeros((2 * m, 2 * m), dtype=np.int64)
+    for g in circuit.gates:
+        if g.kind in ("F", "Finv"):
+            (k,) = g.modes
+            q -= np.outer(s[k], s[m + k])
+        s = np.rint(gate_symplectic(g, m).matrix).astype(np.int64) @ s
+    return q
+
+
 def encoder_images(circuit: Circuit) -> np.ndarray:
     """Rows of S^-1: row r expresses the encoder image U R_r U^dag of the input
     quadrature R_r as a form over the output quadratures."""

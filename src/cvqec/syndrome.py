@@ -13,11 +13,19 @@ combinations of the encoder images of the ancilla positions, so after the
 inverse encoder they are an integer matrix G applied to the ancilla positions
 alone.  When M - 1 rows of G have determinant +-1, one joint position
 projection of the ancillae (:func:`cvqec.grid.measure_positions`) is the K
-form readouts.  :func:`run_qec_cycle` then stays in the decoded frame: it
-corrects there through the integer inverse S^-1 of the encoder's symplectic
-matrix and reads both fidelities off the decoded tensor.  This is the
+form readouts.
+
+:func:`run_qec_cycle` makes that projection without the N^M tensor.  On the
+N-point grid F and Sum map every Weyl operator W(v) = X^a Z^b (shifts by a
+points, kicks by b dx) to another one times a phase: U^dag W(v) U =
+omega^(v.Q.v) W(S^-1 v), with S^-1 the integer inverse of the encoder's
+symplectic matrix and Q an integer phase form
+(:func:`cvqec.symplectic.weyl_phase_form`).  The cycle expands the error into
+at most N Weyl terms on its mode, maps them onto psi (x) |0...0>, sums the
+logical lines of terms that share an ancilla tuple, samples a tuple, and
+corrects and reads both fidelities off the one logical line.  This is the
 continuous-variable Gottesman-Knill picture (Bartlett, Sanders, Braunstein &
-Nemoto, PRL 88, 097904, 2002).
+Nemoto, PRL 88, 097904, 2002); the dense stages stay public as its oracle.
 
 Measurement imprecision enters purely classically: the collapse happens at
 full grid precision and the recorded value is the true value plus noise drawn
@@ -40,15 +48,17 @@ from .grid import (
     GridError,
     GridSpec,
     MultiModeState,
+    _sample_and_collapse,
     apply_displacement,
     apply_kernel_convolution,
     fidelity,
+    fourier_matrix,
     gaussian_kernel,
     make_product_state,
     measure_positions,
     reduced_density,
 )
-from .symplectic import DecodeError, DisplacementError, circuit_symplectic
+from .symplectic import DecodeError, DisplacementError, circuit_symplectic, weyl_phase_form
 from .symplectic import decode_syndrome as _decode
 
 
@@ -139,6 +149,7 @@ class SyndromePlan:
     forms: np.ndarray  # K x 2M, rows ordered like readout_modes
     ancilla_map: np.ndarray  # K x (M-1) integer G: forms on the decoded ancilla positions
     decoded_shift: np.ndarray  # integer S^-1: physical displacement -> decoded frame
+    phase_form: np.ndarray  # integer Q: U^dag W(v) U = omega^(v.Q.v) W(S^-1 v)
 
 
 def measured_forms(code: CodeSpec) -> list[np.ndarray]:
@@ -177,7 +188,10 @@ def build_syndrome_circuit(code: CodeSpec) -> SyndromePlan:
             gates.append(fourier(mode))
     circuit = Circuit(m + len(forms), tuple(gates))
     forms = np.array(forms)
-    return SyndromePlan(code.name, circuit, tuple(readout), forms, *_decoded_frame(code, forms))
+    return SyndromePlan(
+        code.name, circuit, tuple(readout), forms, *_decoded_frame(code, forms),
+        weyl_phase_form(code.encoder.inverse()),
+    )
 
 
 def _decoded_frame(code: CodeSpec, forms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,26 +276,24 @@ def extract_syndrome(
     if plan is None:
         plan = build_syndrome_circuit(code)
     decoded = apply_circuit(state, code.encoder.inverse())
-    record, _, decoded = _measure_decoded(decoded, code, plan, model, rng)
+    ancillae, decoded = measure_positions(decoded, code.ancilla_modes, rng)
+    record = _ancilla_record(np.array(ancillae), plan, state.grid, model, rng)
     return record, apply_circuit(decoded, code.encoder)
 
 
-def _measure_decoded(
-    decoded: MultiModeState,
-    code: CodeSpec,
+def _ancilla_record(
+    ancillae: np.ndarray,
     plan: SyndromePlan,
+    grid: GridSpec,
     model: MeasurementModel,
     rng: np.random.Generator,
-) -> tuple[SyndromeRecord, np.ndarray, MultiModeState]:
-    """Joint ancilla-position projection of a decoded state: the record, the
-    ancilla grid indices and the collapsed state."""
-    grid = decoded.grid
+) -> SyndromeRecord:
+    """The record of a decoded ancilla-position outcome (grid indices): the
+    wrapped form values ``G @ (a - N/2)`` in position units, plus noise."""
     c0 = grid.center_index
-    indices, decoded = measure_positions(decoded, code.ancilla_modes, rng)
-    ancillae = np.array(indices)
     steps = plan.ancilla_map @ (ancillae - c0)
     true_vals = (np.mod(steps + c0, grid.n_points) - c0) * grid.dx
-    return _record(true_vals, model, rng, plan), ancillae, decoded
+    return _record(true_vals, model, rng, plan)
 
 
 def _record(
@@ -427,12 +439,85 @@ def apply_error(state: MultiModeState, error: ErrorSpec) -> MultiModeState:
         return state
     if error.kind == "displacement":
         return apply_displacement(state, error.mode, error.shift_points, error.momentum_kick)
-    if error.kernel is not None:
-        kernel = np.asarray(error.kernel, dtype=np.complex128)
-    else:
-        kernel = gaussian_kernel(state.grid, error.kernel_width)
-    out, _ = apply_kernel_convolution(state, error.mode, kernel)
+    out, _ = apply_kernel_convolution(state, error.mode, _error_kernel(error, state.grid))
     return out
+
+
+def _error_kernel(error: ErrorSpec, grid: GridSpec) -> np.ndarray:
+    if error.kernel is not None:
+        return np.asarray(error.kernel, dtype=np.complex128)
+    return gaussian_kernel(grid, error.kernel_width)
+
+
+def _weyl_terms(error: ErrorSpec, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The error on its mode as a sum of Weyl terms c X^a Z^b (shift by a
+    points after a kick by b dx, as :func:`apply_error` orders them): the
+    arrays (c, a, b), at most N long.
+
+    A kick within 1e-9 of a whole number of dx is one term; any other kick is
+    the Z-series of its phase vector.  A convolution is one shift term per
+    nonzero kernel entry, K[k] X^-(k - N/2).
+    """
+    n, c0 = grid.n_points, grid.center_index
+    if error.kind == "none":
+        return np.ones(1, dtype=np.complex128), np.zeros(1, np.int64), np.zeros(1, np.int64)
+    if error.kind == "displacement":
+        kick = error.momentum_kick / grid.dx
+        if abs(kick - round(kick)) <= 1e-9:
+            coeffs, kicks = np.ones(1, dtype=np.complex128), np.array([round(kick)])
+        else:
+            # exp(2i q x_j) = sum_b c_b omega^(b (j - N/2)): the inverse
+            # Fourier kernel gives c_b for b = k - N/2
+            phases = np.exp(2j * error.momentum_kick * grid.x_values())
+            coeffs = fourier_matrix(n).conj() @ phases / math.sqrt(n)
+            kicks = np.arange(n) - c0
+        shifts = np.full(len(coeffs), int(error.shift_points))
+        return coeffs, shifts, kicks
+    kernel = _error_kernel(error, grid)
+    (k,) = np.nonzero(kernel)
+    return kernel[k], c0 - k, np.zeros(len(k), np.int64)
+
+
+def _project_decoded(
+    psi: np.ndarray,
+    error: ErrorSpec,
+    code: CodeSpec,
+    plan: SyndromePlan,
+    grid: GridSpec,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Joint ancilla-position projection of the decoded damaged state
+    U^dag E U (psi (x) |0...0>), run on the error's Weyl terms alone.
+
+    Each term c W(v) becomes c omega^(v.Q.v) W(S^-1 v), which maps psi (x)
+    |0...0> to a shifted and kicked logical line times one ancilla tuple.
+    The lines of equal tuples are summed, the tuples taken in row-major
+    order (the order :func:`cvqec.grid.measure_positions` reads the decoded
+    ancillae in), and one is drawn from one ``rng.random()`` double.  Returns
+    the ancilla grid indices and the normalized logical line.
+    """
+    n, c0, m = grid.n_points, grid.center_index, code.mode_count
+    coeffs, shifts, kicks = _weyl_terms(error, grid)
+    v = np.zeros((len(coeffs), 2 * m), dtype=np.int64)
+    v[:, error.mode] = np.mod(shifts, n)
+    v[:, m + error.mode] = np.mod(kicks, n)
+    phase = np.einsum("ti,ij,tj->t", v, plan.phase_form, v)
+    w = v @ plan.decoded_shift.T
+    tuples = np.mod(w[:, list(code.ancilla_modes)] + c0, n)
+    a, b = w[:, [code.logical_mode]], w[:, [m + code.logical_mode]]
+    # (X^a Z^b psi)[j] = omega^(b (j - N/2 - a)) psi[j - a]
+    j = np.arange(n)
+    omega = np.exp((2j * np.pi / n) * j)
+    exponents = np.mod(phase[:, None] + b * (j - c0 - a), n)
+    lines = coeffs[:, None] * omega[exponents] * psi[np.mod(j - a, n)]
+    if len(lines) > 1:
+        tuples, group = np.unique(tuples, axis=0, return_inverse=True)
+        summed = np.zeros((len(tuples), n), dtype=np.complex128)
+        np.add.at(summed, group.reshape(-1), lines)
+        lines = summed
+    probs = np.sum(lines.real**2 + lines.imag**2, axis=1)
+    (t,), lines = _sample_and_collapse(lines, probs, (0,), rng)
+    return tuples[t], lines[t]
 
 
 @dataclass
@@ -487,11 +572,16 @@ def run_qec_cycle(
 ) -> QecCycleReport:
     """encode -> inject error -> extract syndrome -> correct -> compare.
 
-    From the inverse encoder on, the cycle stays in the decoded frame: the
-    correction is applied there, the post-correction fidelity is the overlap
-    of the logical input with the decoded state at zero ancilla positions, and
-    the logical density is traced from the decoded state.  ``reference``, when
-    given, must be ``encode(logical_wavefunction, code, grid)``.
+    The cycle runs in the decoded frame without the N^M tensor: the error's
+    Weyl terms are pushed through the encoder's integer tableau
+    (``plan.decoded_shift`` and ``plan.phase_form``), which projects the
+    decoded ancillae as :func:`extract_syndrome` does.  The correction is
+    applied to the projected logical line, the post-correction fidelity is its
+    overlap with the logical input when the ancillae return to zero, and the
+    logical fidelity is its overlap with the raw input.  The pre-error
+    fidelity stays the dense overlap of the damaged and undamaged encoded
+    states; ``reference``, when given, must be
+    ``encode(logical_wavefunction, code, grid)`` and feeds only that.
     """
     if grid is None:
         if n_points is None:
@@ -501,24 +591,23 @@ def run_qec_cycle(
         plan = build_syndrome_circuit(code)
     if reference is None:
         reference = encode(logical_wavefunction, code, grid)
-    damaged = apply_error(reference, error)
-    pre_fid = fidelity(damaged, reference)
-    decoded = apply_circuit(damaged, code.encoder.inverse())
-    record, ancillae, decoded = _measure_decoded(decoded, code, plan, model, rng)
+    pre_fid = fidelity(apply_error(reference, error), reference)
+    psi = np.asarray(logical_wavefunction, dtype=np.complex128)
+    psi_hat = psi / np.linalg.norm(psi)  # encode() normalizes psi
+    ancillae, line = _project_decoded(psi_hat, error, code, plan, grid, rng)
+    record = _ancilla_record(ancillae, plan, grid, model, rng)
     # the projected decoded state is logical (x) |ancillae>; the correction
     # moves both factors, and its kicks on the ancillae are global phases
     lm, n = code.logical_mode, grid.n_points
-    line = np.moveaxis(decoded.tensor, lm, 0)[(slice(None), *ancillae)]
     logical = MultiModeState(GridSpec(n, 1), line)
     err, steps, _ = _correction_steps(code, record, grid.dx, decode_modes)
     if steps is not None:
         d = plan.decoded_shift @ steps
         logical = apply_displacement(logical, 0, d[lm], d[code.mode_count + lm] * grid.dx)
         ancillae = np.mod(ancillae + d[list(code.ancilla_modes)], n)
-    psi = np.asarray(logical_wavefunction, dtype=np.complex128)
     post_fid = 0.0
-    if np.all(ancillae == grid.center_index):  # encode() normalizes psi
-        post_fid = abs(np.vdot(psi / np.linalg.norm(psi), logical.tensor)) ** 2
+    if np.all(ancillae == grid.center_index):
+        post_fid = abs(np.vdot(psi_hat, logical.tensor)) ** 2
     return QecCycleReport(
         pre_error_fidelity=pre_fid,
         post_correction_fidelity=float(post_fid),

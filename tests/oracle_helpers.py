@@ -46,6 +46,16 @@ def dense_convolution(n: int, kernel: np.ndarray) -> np.ndarray:
     return u
 
 
+def dense_weyl(n: int, a: int, b: int) -> np.ndarray:
+    """N x N matrix of X^a Z^b: a kick by b dx (phase exp(2i b dx x_j)), then
+    a shift by a points, built entry by entry."""
+    u = np.zeros((n, n), dtype=complex)
+    x = x_values(n)
+    for j in range(n):
+        u[(j + a) % n, j] = np.exp(2j * b * dx_of(n) * x[j])
+    return u
+
+
 def dense_on_mode(u1: np.ndarray, mode: int, m: int) -> np.ndarray:
     """Full N^M x N^M matrix of the one-mode operator u1 on ``mode``, by kron."""
     n = u1.shape[0]

@@ -280,6 +280,25 @@ def test_non_finite_error_in_sweep_config_is_usage_error(tmp_path, capsys, error
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry,message", [
+    ({"sigmas": [True]}, "sigma must be a number, got True"),
+    ({"sigmas": [0.0, "0.5"]}, "sigma must be a number, got '0.5'"),
+    ({"error": {"kind": "displacement", "mode": 0, "shift": 1, "kick": True}},
+     "kick must be a number, got True"),
+    ({"error": {"kind": "convolution", "mode": 0, "kernel_width": True}},
+     "kernel_width must be a number, got True"),
+])
+def test_boolean_float_in_sweep_config_is_usage_error(tmp_path, capsys, entry, message):
+    # a JSON true used to be read as 1 dx and the sweep exited 0
+    config = {"code": "repetition3", "grid_n": 8, "sigmas": [0.0], "trials": 2, "seed": 1}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**config, **entry}))
+    out = tmp_path / "out.csv"
+    assert run_cli(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["9", "-1"])
 def test_out_of_range_decode_mode_is_usage_error(capsys, mode):
     # 9 used to end in an IndexError, -1 in a silent decode reporting mode -1

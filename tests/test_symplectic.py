@@ -33,8 +33,14 @@ from cvqec import (
     sum_inv,
     syndrome_matrix,
 )
-from cvqec.symplectic import DecodeError
-from oracle_helpers import circuit_from_steps, random_state, scan_measurement_basis
+from cvqec.symplectic import DecodeError, weyl_phase_form
+from oracle_helpers import (
+    circuit_from_steps,
+    dense_gate,
+    dense_weyl,
+    random_state,
+    scan_measurement_basis,
+)
 
 
 def symplectic_defect(s, m):
@@ -392,6 +398,50 @@ def test_random_circuits_are_covariant_on_the_grid(m, n, steps, d_all, seed):
         rhs = apply_displacement(rhs, mode, int(round(sd[mode])), sd[m + mode] * grid.dx)
     lhs = apply_circuit(lhs, circ)
     assert fidelity(lhs, rhs) >= 1 - 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=hs.sampled_from([2, 3]),
+    n=hs.sampled_from([6, 8]),
+    steps=hs.lists(
+        hs.tuples(hs.sampled_from(["F", "Finv", "Sum", "SumInv"]), hs.integers(0, 2),
+                  hs.integers(1, 2)),
+        min_size=1, max_size=8,
+    ),
+    v_all=hs.lists(hs.integers(-9, 9), min_size=6, max_size=6),
+    seed=hs.integers(0, 2**32 - 1),
+)
+def test_inverse_circuit_maps_weyl_operators_with_the_phase_form(m, n, steps, v_all, seed):
+    """U^dag W(v) U = omega^(v.Q.v) W(S^-1 v) for random F/Sum circuits U,
+    with Q the phase form of the inverse circuit, against dense N^M matrices."""
+    circ = circuit_from_steps(m, steps)
+    u = np.eye(n**m, dtype=complex)
+    for g in circ.gates:
+        u = dense_gate(g.kind, g.modes, m, n) @ u
+    q = weyl_phase_form(circ.inverse())
+    s_inv = np.rint(circuit_symplectic(circ.inverse()).matrix).astype(np.int64)
+    v = np.array(v_all[:m] + v_all[3:3 + m])
+    w = s_inv @ v
+
+    def weyl(vec):
+        out = np.ones((1, 1), dtype=complex)
+        for k in range(m):
+            out = np.kron(out, dense_weyl(n, int(vec[k]), int(vec[m + k])))
+        return out
+
+    psi = random_state(n, m, seed).reshape(-1)
+    lhs = u.conj().T @ weyl(v) @ u @ psi
+    rhs = np.exp(2j * np.pi * (v @ q @ v) / n) * (weyl(w) @ psi)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+def test_phase_form_of_one_fourier_gate():
+    # F X^a Z^b F^dag = Z^a X^-b = omega^(-ab) X^-b Z^a, and Finv alike
+    for kind in ("F", "Finv"):
+        q = weyl_phase_form(Circuit(1, (Gate(kind, (0,)),)))
+        assert np.array_equal(q, [[0, -1], [0, 0]])
+    assert not weyl_phase_form(Circuit(2, (sum_gate(0, 1), sum_inv(1, 0)))).any()
 
 
 GATE_STEPS = hs.tuples(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as hs
 
 from cvqec import (
@@ -33,6 +33,8 @@ from cvqec import (
     run_qec_cycle,
     trace_distance,
 )
+import cvqec.syndrome as syndrome_module
+from oracle_helpers import circuit_from_steps
 from cvqec.syndrome import SyndromeCircuitError, estimator_gain, residual_shift_distribution
 
 
@@ -513,12 +515,34 @@ def _physical_cycle(psi, code, error, model, rng, grid, plan, reference, decode_
     return pre, fidelity(result.state, reference), logical, record, result
 
 
+def _assert_cycle_matches_physical_frame(psi, code, error, model, seed, grid, plan, reference,
+                                         decode_modes=None):
+    """run_qec_cycle against its physical-frame composition from one seed:
+    the same record and decode, the same pre-error fidelity, the other two
+    within 1e-12, and the same random draws consumed"""
+    ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    report = run_qec_cycle(psi, code, error, model, ours, grid=grid, plan=plan,
+                           reference=reference, decode_modes=decode_modes)
+    pre, post, logical, record, result = _physical_cycle(
+        psi, code, error, model, twin, grid, plan, reference, decode_modes)
+    assert report.pre_error_fidelity == pre
+    assert np.array_equal(report.syndrome.true_values, record.true_values)
+    assert np.array_equal(report.syndrome.reported_values, record.reported_values)
+    assert report.inferred_error == result.inferred
+    assert report.correction_applied == result.applied
+    assert abs(report.post_correction_fidelity - post) <= 1e-12
+    assert abs(report.logical_fidelity - logical) <= 1e-12
+    assert ours.random() == twin.random()
+
+
 @pytest.mark.parametrize("name,n,errors", [
     ("repetition3", 16, [ErrorSpec.displacement(m, s) for m in range(3) for s in (-3, 2)]
      + [ErrorSpec.convolution(0, 0.7)]),
     ("braunstein5", 8, [ErrorSpec.displacement(m, 2, -0.6) for m in range(5)]
      + [ErrorSpec.convolution(3, 0.5)]),
     ("shor9", 4, [ErrorSpec.displacement(m, 1) for m in range(9)]),
+    ("braunstein5", 16, [ErrorSpec.displacement(1, -2, 1.0), ErrorSpec.displacement(4, 1, 0.5),
+                         ErrorSpec.convolution(2, 0.8)]),
 ])
 @pytest.mark.parametrize("sigma", [0.0, 0.8])
 def test_cycle_matches_physical_frame_composition(name, n, errors, sigma):
@@ -536,17 +560,95 @@ def test_cycle_matches_physical_frame_composition(name, n, errors, sigma):
                                            error.momentum_kick * grid.dx)
         else:
             error = ErrorSpec.convolution(error.mode, error.kernel_width * grid.dx)
-        report = run_qec_cycle(psi, code, error, model, np.random.default_rng(t),
-                               grid=grid, plan=plan, reference=reference)
-        pre, post, logical, record, result = _physical_cycle(
-            psi, code, error, model, np.random.default_rng(t), grid, plan, reference, None)
-        assert report.pre_error_fidelity == pre
-        assert np.array_equal(report.syndrome.true_values, record.true_values)
-        assert np.array_equal(report.syndrome.reported_values, record.reported_values)
-        assert report.inferred_error == result.inferred
-        assert report.correction_applied == result.applied
-        assert abs(report.post_correction_fidelity - post) <= 1e-12
-        assert abs(report.logical_fidelity - logical) <= 1e-12
+        _assert_cycle_matches_physical_frame(psi, code, error, model, t, grid, plan, reference)
+
+
+# "random" is a three-mode code from a drawn F/Sum encoder: unlike the built-in
+# codes, its single-mode errors can put several Weyl terms on one ancilla
+# tuple, so their relative phases (the phase form) reach the fidelities
+FRAME_CASES = ([("repetition3", n) for n in (6, 8, 12, 16)]
+               + [("braunstein5", n) for n in (6, 8, 12)] + [("shor9", 4)]
+               + [("random", 6), ("random", 8)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=hs.sampled_from(FRAME_CASES),
+    steps=hs.lists(hs.tuples(hs.sampled_from(["F", "Finv", "Sum", "SumInv"]),
+                             hs.integers(0, 2), hs.integers(1, 2)), min_size=1, max_size=6),
+    seed=hs.integers(0, 2**32 - 1),
+    error_kind=hs.sampled_from(["none", "integer kick", "fractional kick", "gaussian",
+                                "kernel"]),
+    mode_pick=hs.integers(0, 8),
+    shift=hs.integers(-3, 3),
+    kick=hs.integers(-3, 3),
+    readout=hs.sampled_from(["exact", "gaussian", "gaussian twice", "custom"]),
+    decode_pick=hs.none() | hs.integers(0, 8),
+)
+# the kicked terms of a shifted mode 0 share ancilla tuples in this code, and
+# the inverse encoder holds both F and Finv
+@example(case=("random", 6), seed=0, error_kind="fractional kick", mode_pick=0, shift=1, kick=0,
+         readout="exact", decode_pick=None,
+         steps=[("Sum", 1, 1), ("Finv", 0, 1), ("F", 0, 2), ("Sum", 2, 2), ("Sum", 2, 2),
+                ("Sum", 1, 2)])
+def test_cycle_matches_physical_frame_on_drawn_inputs(case, steps, seed, error_kind, mode_pick,
+                                                      shift, kick, readout, decode_pick):
+    name, n = case
+    if name == "random":
+        code = CodeSpec.from_encoder("random", circuit_from_steps(3, steps))
+    else:
+        code = BUILD[name]()
+    try:
+        plan = build_syndrome_circuit(code)
+    except SyndromeCircuitError:  # only a drawn encoder can fail here
+        reject()
+    grid = GridSpec(n, code.mode_count)
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi /= np.linalg.norm(psi)
+    mode = mode_pick % code.mode_count
+    dx = grid.dx
+    if error_kind == "none":
+        error = ErrorSpec.none()
+    elif error_kind == "integer kick":
+        error = ErrorSpec.displacement(mode, shift, kick * dx)
+    elif error_kind == "fractional kick":
+        error = ErrorSpec.displacement(mode, shift, (kick + rng.uniform(0.05, 0.95)) * dx)
+    elif error_kind == "gaussian":
+        error = ErrorSpec.convolution(mode, rng.uniform(0.3, 1.2) * dx)
+    else:  # complex, with exact zeros; the centre entry keeps it nonzero
+        kernel = rng.normal(size=n) + 1j * rng.normal(size=n)
+        kernel[rng.random(n) < 0.5] = 0.0
+        kernel[n // 2] = 1.0
+        error = ErrorSpec("convolution", mode=mode, kernel=tuple(kernel))
+    model = {
+        "exact": MeasurementModel.exact(),
+        "gaussian": MeasurementModel.gaussian(0.8 * dx),
+        "gaussian twice": MeasurementModel.gaussian(0.8 * dx, repetitions=2),
+        "custom": MeasurementModel.custom([-0.6 * dx, 0.0, 0.9 * dx], [0.3, 0.5, 0.2]),
+    }[readout]
+    decode_modes = None if decode_pick is None else [decode_pick % code.mode_count]
+    _assert_cycle_matches_physical_frame(psi, code, error, model, seed, grid, plan,
+                                         encode(psi, code, grid), decode_modes)
+
+
+def test_cycle_with_reference_runs_no_gate(monkeypatch):
+    code = build_braunstein5()
+    grid = GridSpec(8, 5)
+    psi = two_peak(8, 3)
+    reference = encode(psi, code, grid)
+    plan = build_syndrome_circuit(code)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_qec_cycle ran a circuit on the dense tensor")
+
+    monkeypatch.setattr(syndrome_module, "apply_circuit", refuse)
+    for error in (ErrorSpec.none(), ErrorSpec.displacement(2, 1, grid.dx),
+                  ErrorSpec.displacement(3, -1, 0.4 * grid.dx), ErrorSpec.convolution(4, 0.6)):
+        report = run_qec_cycle(psi, code, error, MeasurementModel.exact(),
+                               np.random.default_rng(1), grid=grid, plan=plan,
+                               reference=reference)
+        assert report.logical_fidelity >= 1 - 1e-9
 
 
 @settings(max_examples=25, deadline=None)
