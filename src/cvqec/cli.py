@@ -46,8 +46,6 @@ class CliError(Exception):
 
 
 def _model_from_args(args: argparse.Namespace) -> MeasurementModel:
-    if args.sigma == 0:
-        return MeasurementModel.exact()
     return MeasurementModel.gaussian(args.sigma, repetitions=args.repetitions)
 
 

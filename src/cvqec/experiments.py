@@ -90,6 +90,7 @@ class SweepConfig:
             error_from_config(self.error)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad error spec: {exc}") from exc
+        logical_wavefunction(self.logical, GridSpec(self.grid_n, 1))
 
     @staticmethod
     def from_json(text: str) -> "SweepConfig":
@@ -98,24 +99,41 @@ class SweepConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid config JSON: {exc}") from exc
         try:
-            return SweepConfig(
-                code=payload["code"],
-                grid_n=payload["grid_n"],
-                sigmas=payload["sigmas"],
-                trials=payload["trials"],
-                seed=payload["seed"],
-                repetitions=payload.get("repetitions", 1),
-                logical=payload.get("logical", {"kind": "eigenstate", "index": None}),
-                error=payload.get("error", {"kind": "displacement", "mode": 0, "shift": 2}),
-                decode_modes=payload.get("decode_modes"),
-            )
+            return SweepConfig(**payload)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
 
 
+#: The keys each kind of ``logical`` and ``error`` spec may carry.
+_LOGICAL_KEYS = {
+    "eigenstate": {"kind", "index"},
+    "two_peak": {"kind", "separation"},
+    "custom": {"kind", "amplitudes"},
+}
+_ERROR_KEYS = {
+    "none": {"kind"},
+    "displacement": {"kind", "mode", "shift", "kick"},
+    "convolution": {"kind", "mode", "kernel_width"},
+}
+
+
+def _spec_kind(what: str, spec, default: str, keys: dict[str, set[str]]) -> str:
+    """The kind of a ``logical`` or ``error`` spec; a non-object spec, an
+    unknown kind or a key that kind does not read is refused."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} spec must be a JSON object, got {spec!r}")
+    kind = spec.get("kind", default)
+    if not isinstance(kind, str) or kind not in keys:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    unknown = sorted(set(spec) - keys[kind])
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s) {unknown} for kind {kind!r}")
+    return kind
+
+
 def logical_wavefunction(spec: dict, grid: GridSpec) -> np.ndarray:
     """Build the logical input from its config description."""
-    kind = spec.get("kind", "eigenstate")
+    kind = _spec_kind("logical", spec, "eigenstate", _LOGICAL_KEYS)
     n = grid.n_points
     if kind == "eigenstate":
         index = spec.get("index")
@@ -132,19 +150,26 @@ def logical_wavefunction(spec: dict, grid: GridSpec) -> np.ndarray:
         psi[(c0 - sep // 2) % n] = 1.0
         psi[(c0 + (sep + 1) // 2) % n] = 1.0
         return psi / np.linalg.norm(psi)
-    if kind == "custom":
-        amps = np.asarray(
-            [complex(re, im) for re, im in spec["amplitudes"]], dtype=np.complex128
-        )
-        if amps.shape != (n,):
-            raise ConfigError("custom amplitudes length mismatch")
-        return amps / np.linalg.norm(amps)
-    raise ConfigError(f"unknown logical kind {kind!r}")
+    # custom: one [re, im] pair per grid point
+    pairs = spec.get("amplitudes")
+    if not isinstance(pairs, list) or len(pairs) != n or not all(
+        isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs
+    ):
+        raise ConfigError(f"custom amplitudes must be a list of {n} [re, im] pairs")
+    amps = np.array(
+        [complex(_config_float("amplitude", re), _config_float("amplitude", im))
+         for re, im in pairs],
+        dtype=np.complex128,
+    )
+    norm = np.linalg.norm(amps)
+    if not (math.isfinite(norm) and norm > 0):
+        raise ConfigError(f"custom amplitudes must have a finite nonzero norm, got {norm}")
+    return amps / norm
 
 
 def error_from_config(spec: dict, dx: float = 1.0) -> ErrorSpec:
     """Shift is in grid points; kick and kernel width are in units of dx."""
-    kind = spec.get("kind", "none")
+    kind = _spec_kind("error", spec, "none", _ERROR_KEYS)
     if kind == "none":
         return ErrorSpec.none()
     if kind == "displacement":
@@ -153,12 +178,10 @@ def error_from_config(spec: dict, dx: float = 1.0) -> ErrorSpec:
             _config_int("shift", spec.get("shift", 0)),
             _config_float("kick", spec.get("kick", 0.0)) * dx,
         )
-    if kind == "convolution":
-        return ErrorSpec.convolution(
-            _config_int("error mode", spec.get("mode", 0)),
-            _config_float("kernel_width", spec["kernel_width"]) * dx,
-        )
-    raise ConfigError(f"unknown error kind {kind!r}")
+    return ErrorSpec.convolution(
+        _config_int("error mode", spec.get("mode", 0)),
+        _config_float("kernel_width", spec["kernel_width"]) * dx,
+    )
 
 
 def trial_rng(seed: int, stream: int, trial: int) -> np.random.Generator:
@@ -205,11 +228,7 @@ def run_sweep(
     workers = thread_count()
     for si, sigma_dx in enumerate(sorted(config.sigmas)):
         sigma = sigma_dx * grid.dx
-        model = (
-            MeasurementModel.exact()
-            if sigma == 0
-            else MeasurementModel.gaussian(sigma, repetitions=config.repetitions)
-        )
+        model = MeasurementModel.gaussian(sigma, repetitions=config.repetitions)
 
         def one_trial(trial: int, _model=model) -> tuple[float, float]:
             rng = trial_rng(config.seed, si, trial)

@@ -11,12 +11,20 @@ Two primitive gates and their inverses act on the discretized modes:
 * ``Sum`` (generalized XOR), adding the control's position into the target:
   basis index pair (j, k) -> (j, (k + j - N/2) mod N), i.e. x_t -> x_t + x_c
   with periodic wraparound.  ``SumInv`` is the inverse permutation.
+
+A Sum on a tensor of at most 2**18 amplitudes gathers through a flat index
+array cached per (shape, control, target, inverse): such tensors re-run the
+same few gates many times (one encode per ``run_sweep`` call; the dense
+oracle stages up to shor9 at N=4, 4**9 = 2**18), and 32 such arrays stay
+under 64 MB.  Larger tensors (one braunstein5 encode at N=16, 2**20
+amplitudes) run a gate about once per process, so they gather with
+``np.take_along_axis`` from an N x N source plane and cache nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -116,68 +124,45 @@ class Circuit:
             raise CircuitError(f"invalid circuit JSON structure: {exc}") from exc
 
 
-_SUM_PERM_CACHE: dict[tuple[int, bool], np.ndarray] = {}
-_SUM_FULL_CACHE: dict[tuple, np.ndarray] = {}
-_SUM_FULL_CACHE_LIMIT = 8_000_000  # total cached permutation entries
+#: Tensors up to this many amplitudes reuse a cached flat gather per Sum.
+_SUM_GATHER_MAX_SIZE = 2**18
 
 
-def _sum_flat_permutation(n: int, inverse: bool) -> np.ndarray:
-    key = (n, inverse)
-    perm = _SUM_PERM_CACHE.get(key)
-    if perm is None:
-        c0 = n // 2
-        jc = np.arange(n)[:, None]
-        jt = np.arange(n)[None, :]
-        idx = (jt + jc - c0) % n if inverse else (jt - jc + c0) % n
-        perm = (jc * n + idx).reshape(-1)
-        _SUM_PERM_CACHE[key] = perm
+def _sum_source(jc: np.ndarray, jt: np.ndarray, n: int, inverse: bool) -> np.ndarray:
+    """Target index each output amplitude reads: jt -/+ jc +/- N/2 (mod N)."""
+    c0 = n // 2
+    return (jt + jc - c0) % n if inverse else (jt - jc + c0) % n
+
+
+@functools.lru_cache(maxsize=32)
+def _sum_gather(shape: tuple[int, ...], control: int, target: int, inverse: bool) -> np.ndarray:
+    """Read-only flat gather indices of a Sum on a tensor of ``shape``."""
+    grids = list(np.indices(shape, sparse=True))
+    grids[target] = _sum_source(grids[control], grids[target], shape[target], inverse)
+    perm = np.ravel_multi_index(np.broadcast_arrays(*grids), shape).reshape(-1)
+    perm.flags.writeable = False
     return perm
 
 
-def _sum_full_permutation(shape: tuple[int, ...], control: int, target: int,
-                          inverse: bool) -> np.ndarray | None:
-    """Whole-tensor gather indices for a Sum gate; cached for small tensors."""
-    size = math.prod(shape)
-    if size > _SUM_FULL_CACHE_LIMIT // 4:
-        return None
-    key = (shape, control, target, inverse)
-    perm = _SUM_FULL_CACHE.get(key)
-    if perm is None:
-        if sum(p.size for p in _SUM_FULL_CACHE.values()) + size > _SUM_FULL_CACHE_LIMIT:
-            _SUM_FULL_CACHE.clear()
-        grids = np.indices(shape, sparse=True)
-        n = shape[target]
-        c0 = n // 2
-        jc, jt = grids[control], grids[target]
-        src = list(grids)
-        src[target] = (jt + jc - c0) % n if inverse else (jt - jc + c0) % n
-        perm = np.ravel_multi_index(np.broadcast_arrays(*src), shape).reshape(-1)
-        _SUM_FULL_CACHE[key] = perm
-    return perm
-
-
-def _apply_sum(tensor: np.ndarray, control: int, target: int, n: int, inverse: bool) -> np.ndarray:
-    perm = _sum_full_permutation(tensor.shape, control, target, inverse)
-    if perm is not None:
+def _apply_sum(tensor: np.ndarray, control: int, target: int, inverse: bool) -> np.ndarray:
+    if tensor.size <= _SUM_GATHER_MAX_SIZE:
+        perm = _sum_gather(tensor.shape, control, target, inverse)
         return tensor.reshape(-1)[perm].reshape(tensor.shape)
-    arr = np.moveaxis(tensor, (control, target), (-2, -1))
-    lead = arr.shape[:-2]
-    flat = np.ascontiguousarray(arr).reshape(*lead, n * n)
-    out = flat[..., _sum_flat_permutation(n, inverse)].reshape(*lead, n, n)
-    return np.moveaxis(out, (-2, -1), (control, target))
+    plane = [1] * tensor.ndim
+    plane[control] = plane[target] = tensor.shape[target]
+    grids = np.indices(plane, sparse=True)
+    src = _sum_source(grids[control], grids[target], plane[target], inverse)
+    return np.take_along_axis(tensor, src, axis=target)
 
 
 def apply_gate(state: MultiModeState, gate: Gate) -> MultiModeState:
     if max(gate.modes) >= state.grid.mode_count:
         raise CircuitError(f"gate {gate} exceeds state mode count")
-    n = state.grid.n_points
     if gate.kind in ("F", "Finv"):
-        u = fourier_matrix(n)
+        u = fourier_matrix(state.grid.n_points)
         out = apply_mode_matrix(state.tensor, gate.modes[0], u if gate.kind == "F" else u.conj())
-    elif gate.kind == "Sum":
-        out = _apply_sum(state.tensor, gate.modes[0], gate.modes[1], n, inverse=False)
     else:
-        out = _apply_sum(state.tensor, gate.modes[0], gate.modes[1], n, inverse=True)
+        out = _apply_sum(state.tensor, *gate.modes, inverse=gate.kind == "SumInv")
     return MultiModeState(state.grid, np.ascontiguousarray(out))
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -353,3 +354,61 @@ def test_bad_state_header_is_usage_error(tmp_path, capsys, command, header, mess
     argv += ["--out", str(tmp_path / "bad")] if command == "inject" else ["--code", "repetition3"]
     assert run_cli(argv) == 2
     assert message in capsys.readouterr().err
+
+
+SMALL_SWEEP = {"code": "repetition3", "grid_n": 8, "sigmas": [0.0], "trials": 2, "seed": 1}
+
+
+def test_unknown_top_level_sweep_key_is_usage_error(tmp_path, capsys):
+    # a misspelled key used to be ignored and the sweep ran with the default
+    for entry, key in [({"decode_mode": [1]}, "decode_mode"), ({"repetition": 5}, "repetition")]:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**SMALL_SWEEP, **entry}))
+        out = tmp_path / "out.csv"
+        assert run_cli(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert f"unexpected keyword argument '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_unknown_error_key_in_sweep_config_is_usage_error(tmp_path, capsys):
+    # "shfit" used to be ignored: the sweep injected no shift and printed fidelity 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        {**SMALL_SWEEP, "error": {"kind": "displacement", "mode": 0, "shfit": 2}}))
+    assert run_cli(["sweep", "--config", str(path)]) == 2
+    assert "unknown error key(s) ['shfit'] for kind 'displacement'" in capsys.readouterr().err
+
+
+def test_unknown_logical_key_in_sweep_config_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        {**SMALL_SWEEP, "logical": {"kind": "two_peak", "seperation": 2}}))
+    assert run_cli(["sweep", "--config", str(path)]) == 2
+    assert "unknown logical key(s) ['seperation'] for kind 'two_peak'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("logical,message", [
+    ({"kind": "custom"}, "custom amplitudes must be a list of 8 [re, im] pairs"),
+    ({"kind": "custom", "amplitudes": 5}, "custom amplitudes must be a list of 8"),
+    ({"kind": "custom", "amplitudes": ["ab"] * 8}, "custom amplitudes must be a list of 8"),
+    ({"kind": "custom", "amplitudes": [[1, "0"]] * 8}, "amplitude must be a number, got '0'"),
+    ({"kind": "custom", "amplitudes": [[True, 0]] * 8}, "amplitude must be a number, got True"),
+    ({"kind": "custom", "amplitudes": [[0, 0]] * 8}, "finite nonzero norm, got 0.0"),
+    ({"kind": "bogus"}, "unknown logical kind 'bogus'"),
+    ([1, 2], "logical spec must be a JSON object"),
+])
+def test_bad_logical_in_sweep_config_is_usage_error(tmp_path, capsys, logical, message):
+    # these used to end in a KeyError or TypeError traceback, or a NaN warning
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL_SWEEP, "logical": logical}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["sweep", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_zero_repetitions_at_zero_sigma_is_usage_error(capsys):
+    # sigma 0 used to build an exact model that never read --repetitions
+    assert run_cli(["cycle", "--code", "repetition3", "--grid-n", "8", "--shift", "1",
+                    "--sigma", "0", "--repetitions", "0"]) == 2
+    assert "repetitions must be >= 1" in capsys.readouterr().err

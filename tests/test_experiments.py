@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cvqec.experiments import ConfigError, SweepConfig, logical_wavefunction
@@ -34,6 +35,10 @@ def test_sweep_config_json_accepts_valid_sigmas():
     {"kind": "convolution", "mode": 0, "kernel_width": 0.0},
     {"kind": "convolution", "mode": 0, "kernel_width": -1.0},
     {"kind": "displacement", "mode": 0, "shift": 1.5},
+    {"kind": "displacement", "mode": 0, "shfit": 2},
+    {"kind": "none", "mode": 0},
+    {"kind": "convolution", "mode": 0, "kernel_width": 1.0, "shift": 1},
+    "displacement",
 ])
 def test_sweep_config_rejects_bad_error(error):
     with pytest.raises(ConfigError, match="bad error spec"):
@@ -94,7 +99,17 @@ def test_sweep_config_refuses_non_integer_error_fields(error):
     ({"kind": "eigenstate", "index": 3.7}, "logical index must be an integer"),
     ({"kind": "eigenstate", "index": True}, "logical index must be an integer"),
     ({"kind": "two_peak", "separation": 2.5}, "separation must be an integer"),
+    ({"kind": "eigenstate", "idx": 3}, r"unknown logical key\(s\) \['idx'\]"),
+    ({"index": 2, "separation": 2}, r"\['separation'\] for kind 'eigenstate'"),
+    ({"kind": "custom", "amplitudes": [[1, 0]] * 7}, "list of 8 .re, im. pairs"),
+    ({"kind": "custom", "amplitudes": [[math.inf, 0]] * 8}, "finite nonzero norm"),
 ])
 def test_logical_spec_refuses_non_integer_fields(spec, message):
     with pytest.raises(ConfigError, match=message):
         logical_wavefunction(spec, GridSpec(8, 1))
+
+
+def test_custom_logical_is_normalized():
+    psi = logical_wavefunction({"kind": "custom", "amplitudes": [[3, 0], [0, 4]] + [[0, 0]] * 6},
+                               GridSpec(8, 1))
+    assert np.allclose(psi, [0.6, 0.8j] + [0] * 6, atol=1e-15)

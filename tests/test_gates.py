@@ -56,18 +56,32 @@ def test_fast_path_matches_dense_matrix(kind, modes, m, seed):
 @pytest.mark.parametrize("kind", ["Sum", "SumInv"])
 @pytest.mark.parametrize("modes", [(0, 2), (2, 0), (1, 2)])
 def test_moveaxis_sum_path_matches_dense_matrix(monkeypatch, kind, modes):
-    # with no room for whole-tensor gathers every Sum takes the moveaxis path
+    # with the gather size bound at 0 every Sum takes the uncached path for
+    # large tensors (take_along_axis, formerly moveaxis), which caches nothing
     from cvqec import gates
     from cvqec.gates import Gate
 
-    monkeypatch.setattr(gates, "_SUM_FULL_CACHE_LIMIT", 0)
-    cached = dict(gates._SUM_FULL_CACHE)
+    monkeypatch.setattr(gates, "_SUM_GATHER_MAX_SIZE", 0)
+    before = gates._sum_gather.cache_info()
     n, m = 8, 3
     vec = random_state(n, m, 5)
     got = apply_gate(as_state(vec, n, m), Gate(kind, modes)).amplitudes
     expected = dense_gate(kind, modes, m, n) @ vec.reshape(-1)
     assert np.max(np.abs(got - expected)) < 1e-12
-    assert gates._SUM_FULL_CACHE == cached
+    assert gates._sum_gather.cache_info() == before
+
+
+def test_braunstein5_encode_at_n16_caches_no_gather():
+    # 16**5 amplitudes is above the gather cache's size bound: one encode per
+    # process must not leave megabytes of indices behind
+    from cvqec import build_braunstein5, encode
+    from cvqec.gates import _sum_gather
+
+    before = _sum_gather.cache_info()
+    psi = np.zeros(16, dtype=complex)
+    psi[8] = 1.0
+    encode(psi, build_braunstein5(), GridSpec(16, 5))
+    assert _sum_gather.cache_info() == before
 
 
 @pytest.mark.parametrize("n", [2, 6, 8, 12, 16, 32])
