@@ -1,8 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Thread count
-for sweep trials comes from the CVQEC_THREADS environment variable (default 1);
-results do not depend on it.
+Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
 """Config-driven Monte-Carlo sweeps over measurement-noise widths.
 
 Trials are independent; each draws its random stream from (seed, sigma index,
-trial index), so dispatching them across worker threads (CVQEC_THREADS) cannot
-change any result and sweep CSVs are byte-identical across runs and
-CVQEC_THREADS values for a fixed config.  They are not guaranteed identical
-across BLAS thread counts (OPENBLAS_NUM_THREADS and the like): norms, overlaps
-and the one-mode matrix products run in BLAS, whose threaded reductions can
-move the last bit of a fidelity.
+trial index), so sweep CSVs are byte-identical across runs for a fixed config.
+They are not guaranteed identical across BLAS thread counts
+(OPENBLAS_NUM_THREADS and the like): norms, overlaps and the one-mode matrix
+products run in BLAS, whose threaded reductions can move the last bit of a
+fidelity.
 """
 
 from __future__ import annotations
@@ -14,15 +13,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .codes import encode, get_code
+from .codes import BUILTIN_CODES, encode, get_code
 from .grid import GridSpec
 from .syndrome import (
     ErrorSpec,
@@ -68,6 +65,8 @@ class SweepConfig:
     decode_modes: list[int] | None = None
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.code, str) and self.code in BUILTIN_CODES):
+            raise ConfigError(f"code must be one of {sorted(BUILTIN_CODES)}, got {self.code!r}")
         for name in ("grid_n", "trials", "seed", "repetitions"):
             setattr(self, name, _config_int(name, getattr(self, name)))
         if not isinstance(self.sigmas, (list, tuple)):
@@ -186,18 +185,9 @@ def error_from_config(spec: dict, dx: float = 1.0) -> ErrorSpec:
 
 def trial_rng(seed: int, stream: int, trial: int) -> np.random.Generator:
     """Cheap counter-based per-trial stream; depends only on (seed, stream,
-    trial), never on scheduling, so threading cannot change results."""
+    trial)."""
     key = ((seed & 0xFFFFFFFFFFFFFFFF) << 64) | ((stream & 0xFFFFFFFF) << 32) | (trial & 0xFFFFFFFF)
     return np.random.Generator(np.random.Philox(counter=0, key=key))
-
-
-def thread_count() -> int:
-    raw = os.environ.get("CVQEC_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"CVQEC_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
 
 
 @dataclass
@@ -225,36 +215,27 @@ def run_sweep(
     reference = encode(psi, code, grid)
     plan = build_syndrome_circuit(code)
     rows = []
-    workers = thread_count()
     for si, sigma_dx in enumerate(sorted(config.sigmas)):
         sigma = sigma_dx * grid.dx
         model = MeasurementModel.gaussian(sigma, repetitions=config.repetitions)
-
-        def one_trial(trial: int, _model=model) -> tuple[float, float]:
-            rng = trial_rng(config.seed, si, trial)
+        full, logical = [], []
+        for t in range(config.trials):
             report = run_qec_cycle(
                 psi,
                 code,
                 error,
-                _model,
-                rng,
+                model,
+                trial_rng(config.seed, si, t),
                 grid=grid,
                 decode_modes=config.decode_modes,
                 plan=plan,
                 reference=reference,
             )
-            return report.post_correction_fidelity, report.logical_fidelity
-
-        if workers == 1:
-            results = [one_trial(t) for t in range(config.trials)]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(one_trial, range(config.trials)))
-        if trial_rows is not None:
-            for t, (full_fid, logical_fid) in enumerate(results):
-                trial_rows.append((sigma, config.repetitions, t, full_fid, logical_fid))
-        full = np.array([r[0] for r in results])
-        logical = np.array([r[1] for r in results])
+            full.append(report.post_correction_fidelity)
+            logical.append(report.logical_fidelity)
+            if trial_rows is not None:
+                trial_rows.append((sigma, config.repetitions, t, full[-1], logical[-1]))
+        full, logical = np.array(full), np.array(logical)
         analytic: float | None = None
         if code.name == "repetition3":
             error_mode = error.mode if error.kind != "none" else 0

@@ -275,12 +275,12 @@ def apply_kernel_convolution(
     return MultiModeState(state.grid, out / pre_norm), pre_norm
 
 
-def gaussian_kernel(grid: GridSpec, width: float, center: float = 0.0) -> np.ndarray:
-    """L2-normalized real Gaussian error kernel sampled on the grid."""
+def gaussian_kernel(grid: GridSpec, width: float) -> np.ndarray:
+    """L2-normalized real Gaussian error kernel sampled on the grid, centred at 0."""
     if width <= 0:
         raise GridError("width must be positive")
     y = grid.x_values()
-    k = np.exp(-((y - center) ** 2) / (2.0 * width**2)).astype(np.complex128)
+    k = np.exp(-(y**2) / (2.0 * width**2)).astype(np.complex128)
     return k / np.linalg.norm(k)
 
 

@@ -66,7 +66,6 @@ class Nullifier:
     """Linear quadrature form f . R annihilating the codespace."""
 
     coeffs: tuple[float, ...]
-    nominal_value: float = 0.0
 
     def __post_init__(self) -> None:
         if not any(abs(c) > 1e-12 for c in self.coeffs):
@@ -283,17 +282,13 @@ def check_correctability(code: "CodeSpec", error_class: str = "full") -> Correct
     }[error_class]
     report = CorrectabilityReport(m_modes, error_class, [], {}, {})
     for m in range(m_modes):
-        ok = _full_column_rank(syn[:, cols_of(m)])
+        _, ok = _min_needed_singular(syn[:, cols_of(m)])
         report.mode_injective.append(ok)
         if not ok:
             report.failures.append(f"mode {m}: {error_class} displacements not injective")
     for j in range(m_modes):
         for k in range(j + 1, m_modes):
-            block = syn[:, cols_of(j) + cols_of(k)]
-            sv = np.linalg.svd(block, compute_uv=False)
-            want = block.shape[1]
-            min_sv = float(sv[want - 1]) if len(sv) >= want else 0.0
-            ok = min_sv > SV_RTOL * max(float(sv[0]), 1e-300)
+            min_sv, ok = _min_needed_singular(syn[:, cols_of(j) + cols_of(k)])
             report.pair_min_singular[(j, k)] = min_sv
             report.pair_ok[(j, k)] = ok
             if not ok:
@@ -301,12 +296,16 @@ def check_correctability(code: "CodeSpec", error_class: str = "full") -> Correct
     return report
 
 
-def _full_column_rank(block: np.ndarray) -> bool:
+def _min_needed_singular(block: np.ndarray) -> tuple[float, bool]:
+    """The smallest singular value full column rank needs (the k-th of k
+    columns) and whether it clears SV_RTOL times the largest; a block with
+    fewer rows than columns gives (0.0, False)."""
     sv = np.linalg.svd(block, compute_uv=False)
     want = block.shape[1]
     if len(sv) < want:
-        return False
-    return bool(sv[want - 1] > SV_RTOL * max(float(sv[0]), 1e-300))
+        return 0.0, False
+    min_sv = float(sv[want - 1])
+    return min_sv, min_sv > SV_RTOL * max(float(sv[0]), 1e-300)
 
 
 def decode_syndrome(

@@ -152,10 +152,6 @@ class SyndromePlan:
     phase_form: np.ndarray  # integer Q: U^dag W(v) U = omega^(v.Q.v) W(S^-1 v)
 
 
-def measured_forms(code: CodeSpec) -> list[np.ndarray]:
-    return [np.asarray(row, dtype=float) for row in code.readout_forms]
-
-
 def build_syndrome_circuit(code: CodeSpec) -> SyndromePlan:
     """Append one fresh zero-position ancilla per measured form and accumulate
     the form's value into it.
@@ -167,7 +163,7 @@ def build_syndrome_circuit(code: CodeSpec) -> SyndromePlan:
     scaling are rejected (none of the built-in codes produce them).
     """
     m = code.mode_count
-    forms = measured_forms(code)
+    forms = np.array(code.readout_forms, dtype=float)
     gates: list[Gate] = []
     readout = []
     for i, row in enumerate(forms):
@@ -187,7 +183,6 @@ def build_syndrome_circuit(code: CodeSpec) -> SyndromePlan:
             gates.append(sum_gate(mode, anc) if b > 0 else sum_inv(mode, anc))
             gates.append(fourier(mode))
     circuit = Circuit(m + len(forms), tuple(gates))
-    forms = np.array(forms)
     return SyndromePlan(
         code.name, circuit, tuple(readout), forms, *_decoded_frame(code, forms),
         weyl_phase_form(code.encoder.inverse()),
@@ -623,19 +618,18 @@ def run_qec_cycle(
 # ---------------------------------------------------------------------------
 
 
-def estimator_gain(code: CodeSpec, error_mode: int, plan: SyndromePlan | None = None) -> float:
+def estimator_gain(code: CodeSpec, error_mode: int) -> float:
     """Std-dev factor mapping per-readout noise to the position estimate for a
     known error mode: the norm of the e_x row of the pseudo-inverse of that
     mode's form columns."""
-    return float(np.linalg.norm(_estimator_row(code, error_mode, plan)))
+    return float(np.linalg.norm(_estimator_row(code, error_mode)))
 
 
-def _estimator_row(code: CodeSpec, error_mode: int, plan: SyndromePlan | None = None) -> np.ndarray:
+def _estimator_row(code: CodeSpec, error_mode: int) -> np.ndarray:
     """Weights of the readouts in the decoder's e_x estimate for one mode."""
-    if plan is None:
-        plan = build_syndrome_circuit(code)
+    forms = np.array(code.readout_forms, dtype=float)
     m = code.mode_count
-    return np.linalg.pinv(plan.forms[:, [error_mode, m + error_mode]])[0, :]
+    return np.linalg.pinv(forms[:, [error_mode, m + error_mode]])[0, :]
 
 
 def residual_shift_distribution(

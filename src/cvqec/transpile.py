@@ -77,23 +77,28 @@ def parse_qubit_circuit(text: str) -> QubitCircuit:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise QubitCircuitError(f"invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "gates" not in payload:
+    if not isinstance(payload, dict) or not isinstance(payload.get("gates"), list):
         raise QubitCircuitError("circuit JSON must be an object with a 'gates' list")
     count_key = "qubit_count" if "qubit_count" in payload else "mode_count"
     if count_key not in payload:
         raise QubitCircuitError("missing qubit_count")
+    count = payload[count_key]
+    if type(count) is not int:
+        raise QubitCircuitError(f"{count_key} must be an integer, got {count!r}")
     gates = []
     for pos, entry in enumerate(payload["gates"]):
         try:
             kind = entry["type"]
-            qubits = tuple(int(q) for q in entry.get("qubits", entry.get("modes", ())))
+            qubits = tuple(entry.get("qubits", entry.get("modes", ())))
         except (KeyError, TypeError) as exc:
             raise QubitCircuitError(f"gate {pos}: malformed entry ({exc})") from exc
+        if any(type(q) is not int for q in qubits):
+            raise QubitCircuitError(f"gate {pos}: qubit indices must be integers, got {list(qubits)}")
         try:
             gates.append(QubitGate(kind, qubits))
         except QubitCircuitError as exc:
             raise QubitCircuitError(f"gate {pos}: {exc}") from exc
-    return QubitCircuit(int(payload[count_key]), tuple(gates))
+    return QubitCircuit(count, tuple(gates))
 
 
 #: Built-in five-qubit encoder fixture.  Its three-qubit blocks are already

@@ -326,6 +326,7 @@ def test_non_list_decode_modes_in_sweep_config_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("key,value", [
     ("trials", 2.5), ("trials", True), ("sigmas", []), ("logical", {"index": 3.7}),
+    ("code", ["shor9"]), ("code", 5), ("code", "steane7"),
 ])
 def test_non_integer_sweep_config_is_usage_error(tmp_path, capsys, key, value):
     config = {"code": "repetition3", "grid_n": 8, "sigmas": [0.0], "trials": 2, "seed": 1}

@@ -59,6 +59,16 @@ def test_parse_rejects_bad_indices_and_shape():
         parse_qubit_circuit("not json")
     with pytest.raises(QubitCircuitError):
         parse_qubit_circuit('{"gates": []}')
+    with pytest.raises(QubitCircuitError, match="'gates' list"):
+        parse_qubit_circuit('{"qubit_count": 2, "gates": 5}')
+    # a fraction or a bool is refused, not truncated into a plausible circuit
+    with pytest.raises(QubitCircuitError, match="qubit_count must be an integer"):
+        parse_qubit_circuit('{"qubit_count": 2.9, "gates": [{"type": "XOR", "qubits": [0, 1]}]}')
+    with pytest.raises(QubitCircuitError, match="gate 1: qubit indices must be integers"):
+        parse_qubit_circuit('{"qubit_count": 2, "gates": [{"type": "H", "qubits": [1]}, '
+                            '{"type": "XOR", "qubits": [0.7, 1]}]}')
+    with pytest.raises(QubitCircuitError, match="gate 0: qubit indices must be integers"):
+        parse_qubit_circuit('{"qubit_count": 2, "gates": [{"type": "H", "qubits": [true]}]}')
 
 
 def test_substitution_maps_gate_for_gate():
