@@ -1,5 +1,9 @@
 """Config-driven Monte-Carlo sweeps over measurement-noise widths.
 
+A trial is :func:`cvqec.syndrome.run_qec_cycle` without the pre-error
+fidelity, its only dense step, which no CSV column holds: the frame trial
+reads one mode's N grid points, so sweeps are not bounded by N^M.
+
 Trials are independent; each draws its random stream from (seed, sigma index,
 trial index), so sweep CSVs are byte-identical across runs for a fixed config.
 They are not guaranteed identical across BLAS thread counts
@@ -14,19 +18,18 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .codes import BUILTIN_CODES, encode, get_code
+from .codes import BUILTIN_CODES, get_code
 from .grid import GridSpec
 from .syndrome import (
     ErrorSpec,
     MeasurementModel,
+    _frame_trial,
     build_syndrome_circuit,
     decoherence_prediction,
-    run_qec_cycle,
 )
 
 
@@ -208,38 +211,26 @@ def run_sweep(
     """Aggregate rows per sigma; when ``trial_rows`` is a list, also append one
     (sigma, repetitions, trial, fidelity, logical_fidelity) tuple per trial."""
     code = get_code(config.code)
-    grid = GridSpec(config.grid_n, code.mode_count)
-    logical_grid = GridSpec(config.grid_n, 1)
-    psi = logical_wavefunction(config.logical, logical_grid)
+    grid = GridSpec(config.grid_n, 1)
+    psi = logical_wavefunction(config.logical, grid)
     error = error_from_config(config.error, grid.dx)
-    reference = encode(psi, code, grid)
     plan = build_syndrome_circuit(code)
     rows = []
     for si, sigma_dx in enumerate(sorted(config.sigmas)):
         sigma = sigma_dx * grid.dx
         model = MeasurementModel.gaussian(sigma, repetitions=config.repetitions)
-        full, logical = [], []
+        full, logical = np.empty(config.trials), np.empty(config.trials)
         for t in range(config.trials):
-            report = run_qec_cycle(
-                psi,
-                code,
-                error,
-                model,
-                trial_rng(config.seed, si, t),
-                grid=grid,
-                decode_modes=config.decode_modes,
-                plan=plan,
-                reference=reference,
+            full[t], logical[t], *_ = _frame_trial(
+                psi, code, error, model, trial_rng(config.seed, si, t), grid,
+                config.decode_modes, plan,
             )
-            full.append(report.post_correction_fidelity)
-            logical.append(report.logical_fidelity)
             if trial_rows is not None:
-                trial_rows.append((sigma, config.repetitions, t, full[-1], logical[-1]))
-        full, logical = np.array(full), np.array(logical)
+                trial_rows.append((sigma, config.repetitions, t, full[t], logical[t]))
         analytic: float | None = None
         if code.name == "repetition3":
             error_mode = error.mode if error.kind != "none" else 0
-            rho = decoherence_prediction(psi, model, code, logical_grid, error_mode)
+            rho = decoherence_prediction(psi, model, code, grid, error_mode)
             analytic = float(np.real(psi.conj() @ rho @ psi))
         rows.append(
             SweepRow(
@@ -285,12 +276,6 @@ def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(sweep_rows_to_csv(rows))
-    return path
 
 
 TRIALS_HEADER = "code,error_kind,error_mode,sigma,repetitions,trial,fidelity,logical_fidelity"

@@ -14,17 +14,18 @@ Two primitive gates and their inverses act on the discretized modes:
 
 A Sum on a tensor of at most 2**18 amplitudes gathers through a flat index
 array cached per (shape, control, target, inverse): such tensors re-run the
-same few gates many times (one encode per ``run_sweep`` call; the dense
-oracle stages up to shor9 at N=4, 4**9 = 2**18), and 32 such arrays stay
-under 64 MB.  Larger tensors (one braunstein5 encode at N=16, 2**20
-amplitudes) run a gate about once per process, so they gather with
-``np.take_along_axis`` from an N x N source plane and cache nothing.
+same few gates many times (thousands of 8**5 encodes in transpiler
+enumeration, the dense oracle stages up to shor9 at N=4, 4**9 = 2**18), and
+32 such arrays stay under 64 MB.  Larger tensors (a braunstein5 encode at
+N=16, 2**20 amplitudes) run a gate about once per process: they gather with
+``np.take_along_axis`` on a five-axis view from an N x N plane, uncached.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -148,11 +149,13 @@ def _apply_sum(tensor: np.ndarray, control: int, target: int, inverse: bool) -> 
     if tensor.size <= _SUM_GATHER_MAX_SIZE:
         perm = _sum_gather(tensor.shape, control, target, inverse)
         return tensor.reshape(-1)[perm].reshape(tensor.shape)
-    plane = [1] * tensor.ndim
-    plane[control] = plane[target] = tensor.shape[target]
-    grids = np.indices(plane, sparse=True)
-    src = _sum_source(grids[control], grids[target], plane[target], inverse)
-    return np.take_along_axis(tensor, src, axis=target)
+    shape, n = tensor.shape, tensor.shape[target]
+    lo, hi = sorted((control, target))
+    view = tensor.reshape(math.prod(shape[:lo]), n, math.prod(shape[lo + 1:hi]), n, -1)
+    j1, j3 = np.indices((n, n), sparse=True)
+    jc, jt = (j3, j1) if target < control else (j1, j3)
+    src = _sum_source(jc, jt, n, inverse)[None, :, None, :, None]
+    return np.take_along_axis(view, src, axis=1 if lo == target else 3).reshape(shape)
 
 
 def apply_gate(state: MultiModeState, gate: Gate) -> MultiModeState:

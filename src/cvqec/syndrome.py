@@ -48,6 +48,7 @@ from .grid import (
     GridError,
     GridSpec,
     MultiModeState,
+    _check_matrix_budget,
     _sample_and_collapse,
     apply_displacement,
     apply_kernel_convolution,
@@ -468,6 +469,7 @@ def _weyl_terms(error: ErrorSpec, grid: GridSpec) -> tuple[np.ndarray, np.ndarra
             kicks = np.arange(n) - c0
         shifts = np.full(len(coeffs), int(error.shift_points))
         return coeffs, shifts, kicks
+    _check_matrix_budget(n)  # up to N lines of N points
     kernel = _error_kernel(error, grid)
     (k,) = np.nonzero(kernel)
     return kernel[k], c0 - k, np.zeros(len(k), np.int64)
@@ -492,6 +494,8 @@ def _project_decoded(
     the ancilla grid indices and the normalized logical line.
     """
     n, c0, m = grid.n_points, grid.center_index, code.mode_count
+    if not 0 <= error.mode < m:
+        raise GridError(f"mode {error.mode} out of range [0, {m})")
     coeffs, shifts, kicks = _weyl_terms(error, grid)
     v = np.zeros((len(coeffs), 2 * m), dtype=np.int64)
     v[:, error.mode] = np.mod(shifts, n)
@@ -567,16 +571,10 @@ def run_qec_cycle(
 ) -> QecCycleReport:
     """encode -> inject error -> extract syndrome -> correct -> compare.
 
-    The cycle runs in the decoded frame without the N^M tensor: the error's
-    Weyl terms are pushed through the encoder's integer tableau
-    (``plan.decoded_shift`` and ``plan.phase_form``), which projects the
-    decoded ancillae as :func:`extract_syndrome` does.  The correction is
-    applied to the projected logical line, the post-correction fidelity is its
-    overlap with the logical input when the ancillae return to zero, and the
-    logical fidelity is its overlap with the raw input.  The pre-error
-    fidelity stays the dense overlap of the damaged and undamaged encoded
-    states; ``reference``, when given, must be
-    ``encode(logical_wavefunction, code, grid)`` and feeds only that.
+    The pre-error fidelity, the overlap of the damaged and undamaged encoded
+    states, is the cycle's only dense step; ``reference``, when given, must be
+    ``encode(logical_wavefunction, code, grid)`` and feeds only that.  The rest
+    is :func:`_frame_trial`, which sweeps run alone.
     """
     if grid is None:
         if n_points is None:
@@ -587,6 +585,25 @@ def run_qec_cycle(
     if reference is None:
         reference = encode(logical_wavefunction, code, grid)
     pre_fid = fidelity(apply_error(reference, error), reference)
+    frame = _frame_trial(logical_wavefunction, code, error, model, rng, grid, decode_modes, plan)
+    return QecCycleReport(pre_fid, *frame)
+
+
+def _frame_trial(
+    logical_wavefunction: np.ndarray, code: CodeSpec, error: ErrorSpec, model: MeasurementModel,
+    rng: np.random.Generator, grid: GridSpec, decode_modes: Sequence[int] | None,
+    plan: SyndromePlan,
+) -> tuple[float, float, DisplacementError | None, SyndromeRecord, bool]:
+    """The cycle after its pre-error fidelity, without the N^M tensor: (post-
+    correction fidelity, logical fidelity, inferred error, record, applied).
+
+    The error's Weyl terms are pushed through the encoder's integer tableau
+    (``plan.decoded_shift``, ``plan.phase_form``) to project the decoded
+    ancillae as :func:`extract_syndrome` does.  The correction moves the
+    projected logical line, whose overlap with the input is the logical
+    fidelity, and the post-correction fidelity when the ancillae are back at
+    zero.  A one-mode ``grid`` serves any code: only N and dx are read.
+    """
     psi = np.asarray(logical_wavefunction, dtype=np.complex128)
     psi_hat = psi / np.linalg.norm(psi)  # encode() normalizes psi
     ancillae, line = _project_decoded(psi_hat, error, code, plan, grid, rng)
@@ -603,14 +620,8 @@ def run_qec_cycle(
     post_fid = 0.0
     if np.all(ancillae == grid.center_index):
         post_fid = abs(np.vdot(psi_hat, logical.tensor)) ** 2
-    return QecCycleReport(
-        pre_error_fidelity=pre_fid,
-        post_correction_fidelity=float(post_fid),
-        logical_fidelity=float(abs(np.vdot(psi, logical.tensor)) ** 2),
-        inferred_error=err,
-        syndrome=record,
-        correction_applied=steps is not None,
-    )
+    logical_fid = float(abs(np.vdot(psi, logical.tensor)) ** 2)
+    return float(post_fid), logical_fid, err, record, steps is not None
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +718,7 @@ def decoherence_prediction(
     psi = np.asarray(logical_wavefunction, dtype=np.complex128)
     if grid is None:
         grid = GridSpec(len(psi), 1)
+    _check_matrix_budget(grid.n_points)
     p = residual_shift_distribution(code, model, grid, error_mode)
     c0 = grid.center_index
     rho = np.zeros((grid.n_points, grid.n_points), dtype=np.complex128)

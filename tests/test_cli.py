@@ -316,6 +316,43 @@ def test_out_of_range_decode_mode_in_sweep_config_is_usage_error(tmp_path, capsy
     assert "decode mode(s) [7] out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [
+    {"code": "shor9", "grid_n": 8, "sigmas": [0.0, 0.5], "trials": 3, "seed": 2,
+     "error": {"kind": "displacement", "mode": 4, "shift": 1}},
+    {"code": "braunstein5", "grid_n": 256, "sigmas": [0.0, 0.5], "trials": 3, "seed": 2,
+     "error": {"kind": "convolution", "mode": 2, "kernel_width": 0.8}},
+], ids=["shor9-n8", "braunstein5-n256"])
+def test_sweep_runs_above_dense_state_budget(tmp_path, config):
+    # N^M is 8**9 and 256**5, over MAX_AMPLITUDES; sweeps used to exit 2
+    path, out = tmp_path / "big.json", tmp_path / "big.csv"
+    path.write_text(json.dumps(config))
+    assert run_cli(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    header, first = out.read_text().splitlines()[:2]
+    row = dict(zip(header.split(","), first.split(",")))
+    assert float(row["sigma"]) == 0
+    assert float(row["mean_fidelity"]) == 1
+
+
+@pytest.mark.parametrize("mode", [3, 9, -1])
+def test_out_of_range_error_mode_in_sweep_config_is_usage_error(tmp_path, capsys, mode):
+    path, out, trials = tmp_path / "mode.json", tmp_path / "s.csv", tmp_path / "t.csv"
+    path.write_text(json.dumps({**SMALL_SWEEP, "error": {
+        "kind": "displacement", "mode": mode, "shift": 1}}))
+    assert run_cli(["sweep", "--config", str(path), "--out", str(out),
+                    "--trials-out", str(trials)]) == 2
+    assert f"mode {mode} out of range [0, 3)" in capsys.readouterr().err
+    assert not out.exists() and not trials.exists()
+
+
+def test_convolution_sweep_over_matrix_budget_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({**SMALL_SWEEP, "code": "braunstein5", "grid_n": 5832,
+                                "error": {"kind": "convolution", "mode": 0,
+                                          "kernel_width": 1.0}}))
+    assert run_cli(["sweep", "--config", str(path)]) == 2
+    assert "exceeds the amplitude budget" in capsys.readouterr().err
+
+
 def test_non_list_decode_modes_in_sweep_config_is_usage_error(tmp_path, capsys):
     path = tmp_path / "modes.json"
     path.write_text('{"code": "repetition3", "grid_n": 8, "sigmas": [0.0], '

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from cvqec import codes, experiments, syndrome
 from cvqec.experiments import ConfigError, SweepConfig, logical_wavefunction
-from cvqec.grid import GridSpec
+from cvqec.grid import GridError, GridSpec
 
 BASE = {"code": "repetition3", "grid_n": 8, "sigmas": [0.0, 1.0], "trials": 2, "seed": 1}
 
@@ -113,3 +114,59 @@ def test_custom_logical_is_normalized():
     psi = logical_wavefunction({"kind": "custom", "amplitudes": [[3, 0], [0, 4]] + [[0, 0]] * 6},
                                GridSpec(8, 1))
     assert np.allclose(psi, [0.6, 0.8j] + [0] * 6, atol=1e-15)
+
+
+SWEEP_ROUTES = [
+    {"code": "repetition3", "grid_n": 16, "sigmas": [0.0, 1.0], "trials": 4, "seed": 9,
+     "repetitions": 2, "logical": {"kind": "two_peak", "separation": 4},
+     "error": {"kind": "displacement", "mode": 0, "shift": 2}, "decode_modes": [0]},
+    {"code": "braunstein5", "grid_n": 8, "sigmas": [0.0, 0.5], "trials": 3, "seed": 3,
+     "error": {"kind": "convolution", "mode": 2, "kernel_width": 0.8}},
+    {"code": "shor9", "grid_n": 4, "sigmas": [0.0, 0.5], "trials": 2, "seed": 5,
+     "error": {"kind": "displacement", "mode": 4, "shift": 1, "kick": 0.5}},
+]
+
+
+def _dense_trial_rows(config: SweepConfig) -> list[tuple]:
+    """Trial rows of ``run_sweep``, from ``run_qec_cycle`` with the dense
+    reference and the N^M grid."""
+    code = codes.get_code(config.code)
+    grid = GridSpec(config.grid_n, code.mode_count)
+    psi = logical_wavefunction(config.logical, GridSpec(config.grid_n, 1))
+    error = experiments.error_from_config(config.error, grid.dx)
+    reference = codes.encode(psi, code, grid)
+    rows = []
+    for si, sigma_dx in enumerate(sorted(config.sigmas)):
+        model = syndrome.MeasurementModel.gaussian(sigma_dx * grid.dx, config.repetitions)
+        for t in range(config.trials):
+            report = syndrome.run_qec_cycle(
+                psi, code, error, model, experiments.trial_rng(config.seed, si, t),
+                grid=grid, decode_modes=config.decode_modes, reference=reference,
+            )
+            rows.append((sigma_dx * grid.dx, config.repetitions, t,
+                         report.post_correction_fidelity, report.logical_fidelity))
+    return rows
+
+
+@pytest.mark.parametrize("spec", SWEEP_ROUTES, ids=lambda s: s["code"])
+def test_sweep_touches_no_dense_state(monkeypatch, spec):
+    config = SweepConfig(**spec)
+    expected = _dense_trial_rows(config)
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a sweep trial touched the N^M tensor")
+
+    for module, name in [(codes, "encode"), (syndrome, "encode"),
+                         (syndrome, "apply_error"), (syndrome, "fidelity")]:
+        monkeypatch.setattr(module, name, dense)
+    trial_rows: list[tuple] = []
+    experiments.run_sweep(config, trial_rows=trial_rows)
+    assert trial_rows == expected
+
+
+def test_decoherence_prediction_refuses_matrix_over_budget():
+    n = 5832  # 5832**2 just exceeds MAX_AMPLITUDES
+    psi = np.zeros(n, dtype=np.complex128)
+    psi[n // 2] = 1.0
+    with pytest.raises(GridError, match="exceeds the amplitude budget"):
+        syndrome.decoherence_prediction(psi, syndrome.MeasurementModel.gaussian(1.0))
