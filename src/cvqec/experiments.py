@@ -2,7 +2,11 @@
 
 A trial is :func:`cvqec.syndrome.run_qec_cycle` without the pre-error
 fidelity, its only dense step, which no CSV column holds: the frame trial
-reads one mode's N grid points, so sweeps are not bounded by N^M.
+reads one mode's N grid points, so sweeps are not bounded by N^M.  A sweep
+fixes its error, so each :func:`run_sweep` call builds one outcome table (the
+decoded lines and their masses) and computes the fidelities of each (outcome,
+correction) pair once; a trial draws its outcome and readout noise and
+decodes.  The rows and CSV bytes are those of running every trial alone.
 
 Trials are independent; each draws its random stream from (seed, sigma index,
 trial index), so sweep CSVs are byte-identical across runs for a fixed config.
@@ -27,7 +31,7 @@ from .grid import GridSpec
 from .syndrome import (
     ErrorSpec,
     MeasurementModel,
-    _frame_trial,
+    _OutcomeTable,
     build_syndrome_circuit,
     decoherence_prediction,
 )
@@ -215,16 +219,14 @@ def run_sweep(
     psi = logical_wavefunction(config.logical, grid)
     error = error_from_config(config.error, grid.dx)
     plan = build_syndrome_circuit(code)
+    table = _OutcomeTable(psi, code, error, plan, grid, config.decode_modes)
     rows = []
     for si, sigma_dx in enumerate(sorted(config.sigmas)):
         sigma = sigma_dx * grid.dx
         model = MeasurementModel.gaussian(sigma, repetitions=config.repetitions)
         full, logical = np.empty(config.trials), np.empty(config.trials)
         for t in range(config.trials):
-            full[t], logical[t], *_ = _frame_trial(
-                psi, code, error, model, trial_rng(config.seed, si, t), grid,
-                config.decode_modes, plan,
-            )
+            full[t], logical[t] = table.trial(model, trial_rng(config.seed, si, t))
             if trial_rows is not None:
                 trial_rows.append((sigma, config.repetitions, t, full[t], logical[t]))
         analytic: float | None = None

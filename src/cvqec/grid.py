@@ -186,19 +186,28 @@ def _sample_and_collapse(
     for ``modes[i]``) from one ``rng.random()`` double over its row-major flat
     index, then keep the amplitudes of ``tensor`` at that outcome and
     renormalize them."""
-    cum = np.cumsum(probs.reshape(-1))
-    outcome = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+    outcome = _draw_outcome(np.cumsum(probs.reshape(-1)), rng)
     indices = tuple(int(j) for j in np.unravel_index(outcome, probs.shape))
     keep: list = [slice(None)] * tensor.ndim
     for m, j in zip(modes, indices):
         keep[m] = j
-    kept = tensor[tuple(keep)]
+    collapsed = np.zeros_like(tensor)
+    collapsed[tuple(keep)] = _renormalized(tensor[tuple(keep)])
+    return indices, collapsed
+
+
+def _draw_outcome(cum: np.ndarray, rng: np.random.Generator) -> int:
+    """The flat outcome one ``rng.random()`` double picks from cumulative
+    probabilities ``cum``."""
+    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+
+
+def _renormalized(kept: np.ndarray) -> np.ndarray:
+    """The amplitudes of a drawn outcome, scaled to unit norm."""
     norm = np.sqrt(np.sum(kept.real**2 + kept.imag**2))
     if norm == 0:
         raise RuntimeError("sampled outcome has zero probability mass")
-    collapsed = np.zeros_like(tensor)
-    collapsed[tuple(keep)] = kept / norm
-    return indices, collapsed
+    return kept / norm
 
 
 def fourier_matrix(n: int) -> np.ndarray:

@@ -341,6 +341,8 @@ def decode_syndrome(
     if bad:
         # a plain ValueError: correct() reports DecodeErrors as decode outcomes
         raise ValueError(f"decode mode(s) {bad} out of range [0, {code.mode_count})")
+    if not modes:
+        raise ValueError("decode modes must name at least one mode")
     if residual_tol is None:
         residual_tol = 1e-6
     scale = float(np.linalg.norm(syndrome))
@@ -359,15 +361,17 @@ def decode_syndrome(
         raise UnrecognizedSyndromeError(
             f"no single-mode displacement matches (best residual {best_res:.3e})"
         )
-    logical = code.logical_forms
-    syn = code.syndrome_matrix()
     tie_window = 1e-9 * max(scale, 1.0)
+    syn = None  # built on the first tie only
     for res, cand in matches[1:]:
         if res > best_res + tie_window or cand.mode == best.mode:
             continue
+        if syn is None:
+            syn = code.syndrome_matrix()
         delta = cand.embed(m_modes) - best.embed(m_modes)
         harmless = (
-            np.linalg.norm(syn @ delta) < 1e-9 and np.linalg.norm(logical @ delta) < 1e-9
+            np.linalg.norm(syn @ delta) < 1e-9
+            and np.linalg.norm(code.logical_forms @ delta) < 1e-9
         )
         if not harmless:
             raise AmbiguousSyndromeError(

@@ -49,7 +49,8 @@ from .grid import (
     GridSpec,
     MultiModeState,
     _check_matrix_budget,
-    _sample_and_collapse,
+    _draw_outcome,
+    _renormalized,
     apply_displacement,
     apply_kernel_convolution,
     fidelity,
@@ -286,17 +287,36 @@ def _ancilla_record(
 ) -> SyndromeRecord:
     """The record of a decoded ancilla-position outcome (grid indices): the
     wrapped form values ``G @ (a - N/2)`` in position units, plus noise."""
+    return _record(_form_values(ancillae, plan, grid), model, rng, plan)
+
+
+def _form_values(ancillae: np.ndarray, plan: SyndromePlan, grid: GridSpec) -> np.ndarray:
+    """The wrapped form values ``G @ (a - N/2)`` in position units of one
+    decoded ancilla outcome, or of each row of a stack of them."""
     c0 = grid.center_index
-    steps = plan.ancilla_map @ (ancillae - c0)
-    true_vals = (np.mod(steps + c0, grid.n_points) - c0) * grid.dx
-    return _record(true_vals, model, rng, plan)
+    steps = (ancillae - c0) @ plan.ancilla_map.T
+    return (np.mod(steps + c0, grid.n_points) - c0) * grid.dx
 
 
 def _record(
     true_vals: np.ndarray, model: MeasurementModel, rng: np.random.Generator, plan: SyndromePlan
 ) -> SyndromeRecord:
-    reported = np.array([v + model.sample_noise(rng) for v in true_vals])
+    """Add the model's noise to the true values.  Gaussian noise is one
+    ``rng.normal`` call whose draws, value by value and repetition by
+    repetition, are the ones :meth:`MeasurementModel.sample_noise` makes."""
+    if model.kind == "custom":
+        reported = np.array([v + model.sample_noise(rng) for v in true_vals])
+    elif _noise_free(model):
+        reported = true_vals + 0.0
+    else:
+        noise = rng.normal(0.0, model.sigma, size=(len(true_vals), model.repetitions))
+        reported = true_vals + noise.mean(axis=1)
     return SyndromeRecord(true_vals, reported, tuple(range(len(plan.forms))), plan.forms)
+
+
+def _noise_free(model: MeasurementModel) -> bool:
+    """Whether the model reports the true values and draws nothing."""
+    return model.kind == "exact" or (model.kind == "gaussian" and model.sigma == 0)
 
 
 def extract_syndrome_via_ancillas(
@@ -475,23 +495,19 @@ def _weyl_terms(error: ErrorSpec, grid: GridSpec) -> tuple[np.ndarray, np.ndarra
     return kernel[k], c0 - k, np.zeros(len(k), np.int64)
 
 
-def _project_decoded(
-    psi: np.ndarray,
-    error: ErrorSpec,
-    code: CodeSpec,
-    plan: SyndromePlan,
-    grid: GridSpec,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
+def _decoded_lines(
+    psi: np.ndarray, error: ErrorSpec, code: CodeSpec, plan: SyndromePlan, grid: GridSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Joint ancilla-position projection of the decoded damaged state
-    U^dag E U (psi (x) |0...0>), run on the error's Weyl terms alone.
+    U^dag E U (psi (x) |0...0>), run on the error's Weyl terms alone and drawn
+    from nothing: the ancilla tuples (grid indices), their unnormalized
+    logical lines and the lines' probability masses.
 
-    Each term c W(v) becomes c omega^(v.Q.v) W(S^-1 v), which maps psi (x)
-    |0...0> to a shifted and kicked logical line times one ancilla tuple.
-    The lines of equal tuples are summed, the tuples taken in row-major
-    order (the order :func:`cvqec.grid.measure_positions` reads the decoded
-    ancillae in), and one is drawn from one ``rng.random()`` double.  Returns
-    the ancilla grid indices and the normalized logical line.
+    Each Weyl term c W(v) becomes c omega^(v.Q.v) W(S^-1 v), which maps psi
+    (x) |0...0> to a shifted and kicked logical line times one ancilla tuple.
+    The lines of equal tuples are summed, the tuples taken in row-major order
+    (the order :func:`cvqec.grid.measure_positions` reads the decoded
+    ancillae in).
     """
     n, c0, m = grid.n_points, grid.center_index, code.mode_count
     if not 0 <= error.mode < m:
@@ -514,9 +530,7 @@ def _project_decoded(
         summed = np.zeros((len(tuples), n), dtype=np.complex128)
         np.add.at(summed, group.reshape(-1), lines)
         lines = summed
-    probs = np.sum(lines.real**2 + lines.imag**2, axis=1)
-    (t,), lines = _sample_and_collapse(lines, probs, (0,), rng)
-    return tuples[t], lines[t]
+    return tuples, lines, np.sum(lines.real**2 + lines.imag**2, axis=1)
 
 
 @dataclass
@@ -599,20 +613,34 @@ def _frame_trial(
 
     The error's Weyl terms are pushed through the encoder's integer tableau
     (``plan.decoded_shift``, ``plan.phase_form``) to project the decoded
-    ancillae as :func:`extract_syndrome` does.  The correction moves the
-    projected logical line, whose overlap with the input is the logical
-    fidelity, and the post-correction fidelity when the ancillae are back at
-    zero.  A one-mode ``grid`` serves any code: only N and dx are read.
+    ancillae as :func:`extract_syndrome` does, one outcome drawn from one
+    ``rng.random()`` double.  The correction moves the projected logical
+    line, whose overlap with the input is the logical fidelity, and the
+    post-correction fidelity when the ancillae are back at zero.  A one-mode
+    ``grid`` serves any code: only N and dx are read.
     """
     psi = np.asarray(logical_wavefunction, dtype=np.complex128)
     psi_hat = psi / np.linalg.norm(psi)  # encode() normalizes psi
-    ancillae, line = _project_decoded(psi_hat, error, code, plan, grid, rng)
+    tuples, lines, probs = _decoded_lines(psi_hat, error, code, plan, grid)
+    t = _draw_outcome(np.cumsum(probs), rng)
+    ancillae, line = tuples[t], _renormalized(lines[t])
     record = _ancilla_record(ancillae, plan, grid, model, rng)
+    err, steps, _ = _correction_steps(code, record, grid.dx, decode_modes)
+    fids = _corrected_fidelities(psi, psi_hat, code, plan, grid, ancillae, line, steps)
+    return *fids, err, record, steps is not None
+
+
+def _corrected_fidelities(
+    psi: np.ndarray, psi_hat: np.ndarray, code: CodeSpec, plan: SyndromePlan, grid: GridSpec,
+    ancillae: np.ndarray, line: np.ndarray, steps: np.ndarray | None,
+) -> tuple[float, float]:
+    """(post-correction fidelity, logical fidelity) of a projected outcome,
+    the normalized logical ``line`` times the ancilla tuple, after the
+    correction ``steps`` (None: no correction)."""
     # the projected decoded state is logical (x) |ancillae>; the correction
     # moves both factors, and its kicks on the ancillae are global phases
     lm, n = code.logical_mode, grid.n_points
     logical = MultiModeState(GridSpec(n, 1), line)
-    err, steps, _ = _correction_steps(code, record, grid.dx, decode_modes)
     if steps is not None:
         d = plan.decoded_shift @ steps
         logical = apply_displacement(logical, 0, d[lm], d[code.mode_count + lm] * grid.dx)
@@ -620,8 +648,54 @@ def _frame_trial(
     post_fid = 0.0
     if np.all(ancillae == grid.center_index):
         post_fid = abs(np.vdot(psi_hat, logical.tensor)) ** 2
-    logical_fid = float(abs(np.vdot(psi, logical.tensor)) ** 2)
-    return float(post_fid), logical_fid, err, record, steps is not None
+    return float(post_fid), float(abs(np.vdot(psi, logical.tensor)) ** 2)
+
+
+class _OutcomeTable:
+    """:func:`_frame_trial`'s fidelities for one fixed error, tabulated for a
+    sweep, whose trials differ only in the drawn double, the readout noise
+    and the decode.
+
+    The decoded lines, their cumulative masses and each tuple's form values
+    are built once.  A trial draws and decodes as :func:`_frame_trial` does,
+    and the fidelities of each (tuple, correction) pair are computed once by
+    :func:`_corrected_fidelities`, so they are :func:`_frame_trial`'s bit for
+    bit.  A :func:`_noise_free` model draws nothing, so its trials reuse their
+    tuple's decode.
+    """
+
+    def __init__(
+        self, logical_wavefunction: np.ndarray, code: CodeSpec, error: ErrorSpec,
+        plan: SyndromePlan, grid: GridSpec, decode_modes: Sequence[int] | None,
+    ) -> None:
+        self.psi = np.asarray(logical_wavefunction, dtype=np.complex128)
+        self.psi_hat = self.psi / np.linalg.norm(self.psi)
+        self.code, self.plan, self.grid, self.decode_modes = code, plan, grid, decode_modes
+        self.tuples, self.lines, probs = _decoded_lines(self.psi_hat, error, code, plan, grid)
+        self.cum = np.cumsum(probs)
+        self.true_values = _form_values(self.tuples, plan, grid)
+        self.noise_free_steps: dict[int, np.ndarray | None] = {}
+        self.fidelities: dict[tuple, tuple[float, float]] = {}
+
+    def trial(self, model: MeasurementModel, rng: np.random.Generator) -> tuple[float, float]:
+        """(post-correction fidelity, logical fidelity) of one trial."""
+        t = _draw_outcome(self.cum, rng)
+        noise_free = _noise_free(model)
+        if noise_free and t in self.noise_free_steps:
+            steps = self.noise_free_steps[t]
+        else:
+            record = _record(self.true_values[t], model, rng, self.plan)
+            _, steps, _ = _correction_steps(self.code, record, self.grid.dx, self.decode_modes)
+            if noise_free:
+                self.noise_free_steps[t] = steps
+        key = (t, None if steps is None else steps.tobytes())
+        fids = self.fidelities.get(key)
+        if fids is None:
+            fids = self.fidelities[key] = _corrected_fidelities(
+                self.psi, self.psi_hat, self.code, self.plan, self.grid, self.tuples[t],
+                _renormalized(self.lines[t]), steps,
+            )
+        return fids
 
 
 # ---------------------------------------------------------------------------

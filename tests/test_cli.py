@@ -344,6 +344,16 @@ def test_out_of_range_error_mode_in_sweep_config_is_usage_error(tmp_path, capsys
     assert not out.exists() and not trials.exists()
 
 
+def test_empty_decode_modes_in_sweep_config_is_usage_error(tmp_path, capsys):
+    # the config accepts [] as a list of ints; the decode refuses it
+    path, out, trials = tmp_path / "modes.json", tmp_path / "s.csv", tmp_path / "t.csv"
+    path.write_text(json.dumps({**SMALL_SWEEP, "decode_modes": []}))
+    assert run_cli(["sweep", "--config", str(path), "--out", str(out),
+                    "--trials-out", str(trials)]) == 2
+    assert "decode modes must name at least one mode" in capsys.readouterr().err
+    assert not out.exists() and not trials.exists()
+
+
 def test_convolution_sweep_over_matrix_budget_is_usage_error(tmp_path, capsys):
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({**SMALL_SWEEP, "code": "braunstein5", "grid_n": 5832,

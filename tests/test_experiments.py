@@ -6,7 +6,7 @@ import pytest
 
 from cvqec import codes, experiments, syndrome
 from cvqec.experiments import ConfigError, SweepConfig, logical_wavefunction
-from cvqec.grid import GridError, GridSpec
+from cvqec.grid import GridError, GridSpec, fidelity
 
 BASE = {"code": "repetition3", "grid_n": 8, "sigmas": [0.0, 1.0], "trials": 2, "seed": 1}
 
@@ -162,6 +162,92 @@ def test_sweep_touches_no_dense_state(monkeypatch, spec):
     trial_rows: list[tuple] = []
     experiments.run_sweep(config, trial_rows=trial_rows)
     assert trial_rows == expected
+
+
+#: More sweeps for the outcome table than the dense comparison above can hold:
+#: braunstein5 at N=64 is 64**5 amplitudes, so these are checked against the
+#: untabulated frame trial instead.
+TABLE_SWEEP_ROUTES = SWEEP_ROUTES + [
+    {"code": "braunstein5", "grid_n": 64, "sigmas": [0.0, 0.5, 2.0], "trials": 12, "seed": 4,
+     "error": {"kind": "displacement", "mode": 3, "shift": 2, "kick": 1.37},
+     "decode_modes": None},
+    {"code": "repetition3", "grid_n": 32, "sigmas": [0.0, 0.5, 1.0, 2.0], "trials": 25,
+     "seed": 21, "repetitions": 3, "logical": {"kind": "two_peak", "separation": 8},
+     "error": {"kind": "displacement", "mode": 0, "shift": -3}, "decode_modes": [0]},
+]
+
+
+@pytest.mark.parametrize("spec", TABLE_SWEEP_ROUTES,
+                         ids=lambda s: f"{s['code']}-n{s['grid_n']}")
+def test_sweep_trials_equal_untabulated_frame_trials(spec):
+    config = SweepConfig(**spec)
+    code = codes.get_code(config.code)
+    grid = GridSpec(config.grid_n, 1)
+    psi = logical_wavefunction(config.logical, grid)
+    error = experiments.error_from_config(config.error, grid.dx)
+    plan = syndrome.build_syndrome_circuit(code)
+    expected = []
+    for si, sigma_dx in enumerate(sorted(config.sigmas)):
+        model = syndrome.MeasurementModel.gaussian(sigma_dx * grid.dx, config.repetitions)
+        for t in range(config.trials):
+            full, logical, *_ = syndrome._frame_trial(
+                psi, code, error, model, experiments.trial_rng(config.seed, si, t), grid,
+                config.decode_modes, plan,
+            )
+            expected.append((sigma_dx * grid.dx, config.repetitions, t, full, logical))
+    trial_rows: list[tuple] = []
+    experiments.run_sweep(config, trial_rows=trial_rows)
+    assert trial_rows == expected
+
+
+def _dense_stage_rows(config: SweepConfig) -> list[experiments.SweepRow]:
+    """``run_sweep``'s rows from the dense public stages, composed per trial
+    and aggregated the way the benchmark's ``rep3-sweep`` replay does it:
+    exact readout at sigma 0, the logical fidelity and the analytic column
+    as psi^dag rho psi."""
+    code = codes.get_code(config.code)
+    grid = GridSpec(config.grid_n, code.mode_count)
+    logical_grid = GridSpec(config.grid_n, 1)
+    psi = logical_wavefunction(config.logical, logical_grid)
+    error = experiments.error_from_config(config.error, grid.dx)
+    reference = codes.encode(psi, code, grid)
+    plan = syndrome.build_syndrome_circuit(code)
+    rows = []
+    for si, sigma_dx in enumerate(sorted(config.sigmas)):
+        sigma = sigma_dx * grid.dx
+        model = (syndrome.MeasurementModel.exact() if sigma == 0
+                 else syndrome.MeasurementModel.gaussian(sigma, config.repetitions))
+        full, logical = [], []
+        for t in range(config.trials):
+            rng = experiments.trial_rng(config.seed, si, t)
+            damaged = syndrome.apply_error(reference, error)
+            record, collapsed = syndrome.extract_syndrome(damaged, code, model, rng, plan=plan)
+            result = syndrome.correct(collapsed, code, record, decode_modes=config.decode_modes)
+            full.append(fidelity(result.state, reference))
+            rho = syndrome.decoded_logical_density(result.state, code)
+            logical.append(float(np.real(psi.conj() @ rho @ psi)))
+        rho = syndrome.decoherence_prediction(psi, model, code, logical_grid, error.mode)
+        full, logical = np.array(full), np.array(logical)
+        rows.append(experiments.SweepRow(
+            sigma=sigma, repetitions=config.repetitions, trials=config.trials,
+            mean_fidelity=float(full.mean()), std_fidelity=float(full.std(ddof=0)),
+            mean_logical_fidelity=float(logical.mean()),
+            std_logical_fidelity=float(logical.std(ddof=0)),
+            analytic_logical_fidelity=float(np.real(psi.conj() @ rho @ psi)),
+        ))
+    return rows
+
+
+@pytest.mark.parametrize("shift, seed", [(2, 7), (-3, 1_234_567), (1, 2**31 - 1)])
+def test_rep3_sweep_rows_equal_the_dense_stage_replay(shift, seed):
+    # the benchmark's traced rep3-sweep run compares these rows with ==; a
+    # sweep change that moves one bit leaves it without a matching op
+    config = SweepConfig(
+        code="repetition3", grid_n=32, sigmas=[0.0, 0.5, 1.0, 2.0], trials=25, seed=seed,
+        logical={"kind": "two_peak", "separation": 8},
+        error={"kind": "displacement", "mode": 0, "shift": shift}, decode_modes=[0],
+    )
+    assert experiments.run_sweep(config) == _dense_stage_rows(config)
 
 
 def test_decoherence_prediction_refuses_matrix_over_budget():

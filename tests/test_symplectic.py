@@ -368,6 +368,16 @@ def test_decode_mode_out_of_range_is_a_plain_value_error(modes):
         assert not isinstance(info.value, DecodeError)
 
 
+def test_empty_decode_modes_is_a_plain_value_error():
+    # a sweep config may carry "decode_modes": []; without this check the
+    # decode died at matches[0] with an IndexError
+    code = build_repetition3()
+    for syndrome in (np.zeros(2), np.array([1.0, 0.0])):
+        with pytest.raises(ValueError, match="decode modes must name at least one mode") as info:
+            decode_syndrome(code, syndrome, modes=[])
+        assert not isinstance(info.value, DecodeError)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     m=hs.sampled_from([2, 3]),

@@ -33,6 +33,7 @@ from cvqec import (
     run_qec_cycle,
     trace_distance,
 )
+import cvqec.grid as grid_module
 import cvqec.syndrome as syndrome_module
 from oracle_helpers import circuit_from_steps
 from cvqec.syndrome import SyndromeCircuitError, estimator_gain, residual_shift_distribution
@@ -649,6 +650,106 @@ def test_cycle_with_reference_runs_no_gate(monkeypatch):
                                np.random.default_rng(1), grid=grid, plan=plan,
                                reference=reference)
         assert report.logical_fidelity >= 1 - 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=hs.integers(0, 2**32 - 1),
+    k=hs.integers(1, 8),
+    repetitions=hs.integers(1, 9),
+    sigma=hs.just(0.0) | hs.floats(1e-6, 10.0),
+    kind=hs.sampled_from(["gaussian", "exact"]),
+)
+def test_record_draws_the_noise_of_the_per_value_loop(seed, k, repetitions, sigma, kind):
+    from cvqec.experiments import trial_rng
+
+    model = (MeasurementModel.gaussian(sigma, repetitions) if kind == "gaussian"
+             else MeasurementModel.exact())
+    plan = build_syndrome_circuit(build_repetition3())  # _record reads only its forms
+    true_vals = np.random.default_rng(seed).integers(-8, 9, size=k) * 0.25
+    fast, slow = trial_rng(seed, 1, 2), trial_rng(seed, 1, 2)
+    record = syndrome_module._record(true_vals, model, fast, plan)
+    expected = np.array([v + model.sample_noise(slow) for v in true_vals])
+    assert record.reported_values.tobytes() == expected.tobytes()
+    assert fast.random() == slow.random()  # the streams stay in step
+
+
+FRAME_ERRORS = ["none", "integer kick", "fractional kick", "gaussian"]
+TABLE_CASES = [("repetition3", 8), ("repetition3", 16), ("braunstein5", 8), ("shor9", 4)]
+
+
+def _frame_inputs(name, n, seed, error_kind, mode_pick, shift, kick):
+    """A built-in code, its plan, a one-mode grid, a random logical state
+    and a drawn error on one of its modes."""
+    code = BUILD[name]()
+    grid = GridSpec(n, 1)
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi /= np.linalg.norm(psi)
+    mode = mode_pick % code.mode_count
+    if error_kind == "none":
+        error = ErrorSpec.none()
+    elif error_kind == "integer kick":
+        error = ErrorSpec.displacement(mode, shift, kick * grid.dx)
+    elif error_kind == "fractional kick":
+        error = ErrorSpec.displacement(mode, shift, (kick + rng.uniform(0.05, 0.95)) * grid.dx)
+    else:
+        error = ErrorSpec.convolution(mode, rng.uniform(0.3, 1.2) * grid.dx)
+    return code, build_syndrome_circuit(code), grid, psi, error
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=hs.sampled_from(TABLE_CASES),
+    seed=hs.integers(0, 2**32 - 1),
+    error_kind=hs.sampled_from(FRAME_ERRORS),
+    mode_pick=hs.integers(0, 8),
+    shift=hs.integers(-3, 3),
+    kick=hs.integers(-3, 3),
+)
+def test_decoded_lines_draw_is_sample_and_collapse(case, seed, error_kind, mode_pick, shift,
+                                                  kick):
+    # the frame trial and the sweep's outcome table draw one tuple of the
+    # decoded lines and renormalize it, as the dense projection does
+    code, plan, grid, psi, error = _frame_inputs(*case, seed, error_kind, mode_pick, shift, kick)
+    _, lines, probs = syndrome_module._decoded_lines(psi, error, code, plan, grid)
+    (t,), collapsed = grid_module._sample_and_collapse(
+        lines, probs, (0,), np.random.default_rng(seed))
+    drawn = grid_module._draw_outcome(np.cumsum(probs), np.random.default_rng(seed))
+    assert drawn == t
+    assert grid_module._renormalized(lines[t]).tobytes() == collapsed[t].tobytes()
+    assert not np.any(np.delete(collapsed, t, axis=0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=hs.sampled_from(TABLE_CASES),
+    seed=hs.integers(0, 2**32 - 1),
+    error_kind=hs.sampled_from(FRAME_ERRORS),
+    mode_pick=hs.integers(0, 8),
+    shift=hs.integers(-3, 3),
+    kick=hs.integers(-3, 3),
+    readout=hs.sampled_from(["exact", "gaussian 0", "gaussian", "gaussian thrice", "custom"]),
+    decode_pick=hs.none() | hs.integers(0, 8),
+)
+def test_outcome_table_trials_equal_frame_trials(case, seed, error_kind, mode_pick, shift, kick,
+                                                 readout, decode_pick):
+    code, plan, grid, psi, error = _frame_inputs(*case, seed, error_kind, mode_pick, shift, kick)
+    dx = grid.dx
+    model = {
+        "exact": MeasurementModel.exact(),
+        "gaussian 0": MeasurementModel.gaussian(0.0, repetitions=2),
+        "gaussian": MeasurementModel.gaussian(0.8 * dx),
+        "gaussian thrice": MeasurementModel.gaussian(0.6 * dx, repetitions=3),
+        "custom": MeasurementModel.custom([-0.6 * dx, 0.0, 0.9 * dx], [0.3, 0.5, 0.2]),
+    }[readout]
+    decode_modes = None if decode_pick is None else [decode_pick % code.mode_count]
+    table = syndrome_module._OutcomeTable(psi, code, error, plan, grid, decode_modes)
+    for trial in range(8):  # later trials hit the memoized outcomes
+        frame = syndrome_module._frame_trial(psi, code, error, model,
+                                             np.random.default_rng([seed, trial]), grid,
+                                             decode_modes, plan)
+        assert table.trial(model, np.random.default_rng([seed, trial])) == frame[:2]
 
 
 @settings(max_examples=25, deadline=None)
