@@ -47,6 +47,13 @@ def _model_from_args(args: argparse.Namespace) -> MeasurementModel:
     return MeasurementModel.gaussian(args.sigma, repetitions=args.repetitions)
 
 
+def _error_from_args(args: argparse.Namespace, dx: float) -> ErrorSpec:
+    """``--kernel-width`` (overriding ``--shift``/``--kick``) in units of dx."""
+    if args.kernel_width is not None:
+        return ErrorSpec.convolution(args.mode, args.kernel_width * dx)
+    return ErrorSpec.displacement(args.mode, args.shift, args.kick * dx)
+
+
 def _logical_input(args: argparse.Namespace) -> np.ndarray:
     """Logical position eigenstate at ``--logical-index`` (default x = 0)."""
     spec = {"kind": "eigenstate", "index": args.logical_index}
@@ -74,10 +81,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 def cmd_inject(args: argparse.Namespace) -> int:
     state = load_state(args.infile)
-    if args.kernel_width is not None:
-        error = ErrorSpec.convolution(args.mode, args.kernel_width * state.grid.dx)
-    else:
-        error = ErrorSpec.displacement(args.mode, args.shift, args.kick * state.grid.dx)
+    error = _error_from_args(args, state.grid.dx)
     out = apply_error(state, error)
     save_state(out, args.out)
     sys.stdout.write(json.dumps({"error": error.kind, "mode": args.mode}) + "\n")
@@ -115,10 +119,7 @@ def cmd_cycle(args: argparse.Namespace) -> int:
     code = get_code(args.code)
     grid = GridSpec(args.grid_n, code.mode_count)
     psi = _logical_input(args)
-    if args.kernel_width is not None:
-        error = ErrorSpec.convolution(args.mode, args.kernel_width * grid.dx)
-    else:
-        error = ErrorSpec.displacement(args.mode, args.shift, args.kick * grid.dx)
+    error = _error_from_args(args, grid.dx)
     model = _model_from_args(args)
     rng = np.random.default_rng(args.seed)
     decode_modes = [args.decode_mode] if args.decode_mode is not None else None

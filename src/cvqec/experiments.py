@@ -1,12 +1,13 @@
 """Config-driven Monte-Carlo sweeps over measurement-noise widths.
 
 A trial is :func:`cvqec.syndrome.run_qec_cycle` without the pre-error
-fidelity, its only dense step, which no CSV column holds: the frame trial
-reads one mode's N grid points, so sweeps are not bounded by N^M.  A sweep
-fixes its error, so each :func:`run_sweep` call builds one outcome table (the
-decoded lines and their masses) and computes the fidelities of each (outcome,
-correction) pair once; a trial draws its outcome and readout noise and
-decodes.  The rows and CSV bytes are those of running every trial alone.
+fidelity, its only dense step, which no CSV column holds: the frame trial,
+``syndrome._OutcomeTable.trial``, reads one mode's N grid points, so sweeps
+are not bounded by N^M.  A sweep fixes its error, so each :func:`run_sweep`
+call builds one outcome table (the decoded lines and their masses) and runs
+every trial through it; the fidelities of each (outcome, correction) pair are
+computed once.  The rows and CSV bytes are those of running every trial on a
+table of its own.
 
 Trials are independent; each draws its random stream from (seed, sigma index,
 trial index), so sweep CSVs are byte-identical across runs for a fixed config.
@@ -83,6 +84,8 @@ class SweepConfig:
         self.sigmas = [_config_float("sigma", s) for s in self.sigmas]
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if any(not math.isfinite(s) or s < 0 for s in self.sigmas):
             raise ConfigError(f"sigma must be finite and >= 0, got {self.sigmas}")
         if self.repetitions < 1:
@@ -226,7 +229,7 @@ def run_sweep(
         model = MeasurementModel.gaussian(sigma, repetitions=config.repetitions)
         full, logical = np.empty(config.trials), np.empty(config.trials)
         for t in range(config.trials):
-            full[t], logical[t] = table.trial(model, trial_rng(config.seed, si, t))
+            full[t], logical[t], *_ = table.trial(model, trial_rng(config.seed, si, t))
             if trial_rows is not None:
                 trial_rows.append((sigma, config.repetitions, t, full[t], logical[t]))
         analytic: float | None = None

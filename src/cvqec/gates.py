@@ -14,9 +14,11 @@ Two primitive gates and their inverses act on the discretized modes:
 
 A Sum on a tensor of at most 2**18 amplitudes gathers through a flat index
 array cached per (shape, control, target, inverse): such tensors re-run the
-same few gates many times (thousands of 8**5 encodes in transpiler
-enumeration, the dense oracle stages up to shor9 at N=4, 4**9 = 2**18), and
-32 such arrays stay under 64 MB.  Larger tensors (a braunstein5 encode at
+same few gates many times (the dense oracle stages up to shor9 at N=4,
+4**9 = 2**18, and the grid check ``transpile.parity_covariant``), and 32 such
+arrays stay under 64 MB.  The cache pays: on a 32**3 tensor a warm cached
+gather took 55 us against 385 us for ``np.take_along_axis`` (timeit, one CPU
+of a 2-vCPU machine).  Larger tensors (a braunstein5 encode at
 N=16, 2**20 amplitudes) run a gate about once per process: they gather with
 ``np.take_along_axis`` on a five-axis view from an N x N plane, uncached.
 """

@@ -15,7 +15,8 @@ alone.  When M - 1 rows of G have determinant +-1, one joint position
 projection of the ancillae (:func:`cvqec.grid.measure_positions`) is the K
 form readouts.
 
-:func:`run_qec_cycle` makes that projection without the N^M tensor.  On the
+:func:`run_qec_cycle` makes that projection without the N^M tensor, in
+``_OutcomeTable.trial``, the one frame trial that sweeps also run.  On the
 N-point grid F and Sum map every Weyl operator W(v) = X^a Z^b (shifts by a
 points, kicks by b dx) to another one times a phase: U^dag W(v) U =
 omega^(v.Q.v) W(S^-1 v), with S^-1 the integer inverse of the encoder's
@@ -274,20 +275,8 @@ def extract_syndrome(
         plan = build_syndrome_circuit(code)
     decoded = apply_circuit(state, code.encoder.inverse())
     ancillae, decoded = measure_positions(decoded, code.ancilla_modes, rng)
-    record = _ancilla_record(np.array(ancillae), plan, state.grid, model, rng)
+    record = _record(_form_values(np.array(ancillae), plan, state.grid), model, rng, plan)
     return record, apply_circuit(decoded, code.encoder)
-
-
-def _ancilla_record(
-    ancillae: np.ndarray,
-    plan: SyndromePlan,
-    grid: GridSpec,
-    model: MeasurementModel,
-    rng: np.random.Generator,
-) -> SyndromeRecord:
-    """The record of a decoded ancilla-position outcome (grid indices): the
-    wrapped form values ``G @ (a - N/2)`` in position units, plus noise."""
-    return _record(_form_values(ancillae, plan, grid), model, rng, plan)
 
 
 def _form_values(ancillae: np.ndarray, plan: SyndromePlan, grid: GridSpec) -> np.ndarray:
@@ -588,7 +577,7 @@ def run_qec_cycle(
     The pre-error fidelity, the overlap of the damaged and undamaged encoded
     states, is the cycle's only dense step; ``reference``, when given, must be
     ``encode(logical_wavefunction, code, grid)`` and feeds only that.  The rest
-    is :func:`_frame_trial`, which sweeps run alone.
+    is one :meth:`_OutcomeTable.trial`, the frame trial sweeps run alone.
     """
     if grid is None:
         if n_points is None:
@@ -599,69 +588,26 @@ def run_qec_cycle(
     if reference is None:
         reference = encode(logical_wavefunction, code, grid)
     pre_fid = fidelity(apply_error(reference, error), reference)
-    frame = _frame_trial(logical_wavefunction, code, error, model, rng, grid, decode_modes, plan)
-    return QecCycleReport(pre_fid, *frame)
-
-
-def _frame_trial(
-    logical_wavefunction: np.ndarray, code: CodeSpec, error: ErrorSpec, model: MeasurementModel,
-    rng: np.random.Generator, grid: GridSpec, decode_modes: Sequence[int] | None,
-    plan: SyndromePlan,
-) -> tuple[float, float, DisplacementError | None, SyndromeRecord, bool]:
-    """The cycle after its pre-error fidelity, without the N^M tensor: (post-
-    correction fidelity, logical fidelity, inferred error, record, applied).
-
-    The error's Weyl terms are pushed through the encoder's integer tableau
-    (``plan.decoded_shift``, ``plan.phase_form``) to project the decoded
-    ancillae as :func:`extract_syndrome` does, one outcome drawn from one
-    ``rng.random()`` double.  The correction moves the projected logical
-    line, whose overlap with the input is the logical fidelity, and the
-    post-correction fidelity when the ancillae are back at zero.  A one-mode
-    ``grid`` serves any code: only N and dx are read.
-    """
-    psi = np.asarray(logical_wavefunction, dtype=np.complex128)
-    psi_hat = psi / np.linalg.norm(psi)  # encode() normalizes psi
-    tuples, lines, probs = _decoded_lines(psi_hat, error, code, plan, grid)
-    t = _draw_outcome(np.cumsum(probs), rng)
-    ancillae, line = tuples[t], _renormalized(lines[t])
-    record = _ancilla_record(ancillae, plan, grid, model, rng)
-    err, steps, _ = _correction_steps(code, record, grid.dx, decode_modes)
-    fids = _corrected_fidelities(psi, psi_hat, code, plan, grid, ancillae, line, steps)
-    return *fids, err, record, steps is not None
-
-
-def _corrected_fidelities(
-    psi: np.ndarray, psi_hat: np.ndarray, code: CodeSpec, plan: SyndromePlan, grid: GridSpec,
-    ancillae: np.ndarray, line: np.ndarray, steps: np.ndarray | None,
-) -> tuple[float, float]:
-    """(post-correction fidelity, logical fidelity) of a projected outcome,
-    the normalized logical ``line`` times the ancilla tuple, after the
-    correction ``steps`` (None: no correction)."""
-    # the projected decoded state is logical (x) |ancillae>; the correction
-    # moves both factors, and its kicks on the ancillae are global phases
-    lm, n = code.logical_mode, grid.n_points
-    logical = MultiModeState(GridSpec(n, 1), line)
-    if steps is not None:
-        d = plan.decoded_shift @ steps
-        logical = apply_displacement(logical, 0, d[lm], d[code.mode_count + lm] * grid.dx)
-        ancillae = np.mod(ancillae + d[list(code.ancilla_modes)], n)
-    post_fid = 0.0
-    if np.all(ancillae == grid.center_index):
-        post_fid = abs(np.vdot(psi_hat, logical.tensor)) ** 2
-    return float(post_fid), float(abs(np.vdot(psi, logical.tensor)) ** 2)
+    table = _OutcomeTable(logical_wavefunction, code, error, plan, grid, decode_modes)
+    return QecCycleReport(pre_fid, *table.trial(model, rng))
 
 
 class _OutcomeTable:
-    """:func:`_frame_trial`'s fidelities for one fixed error, tabulated for a
-    sweep, whose trials differ only in the drawn double, the readout noise
-    and the decode.
+    """The cycle after its pre-error fidelity, without the N^M tensor, for one
+    fixed error: a sweep's trials differ only in the drawn double, the
+    readout noise and the decode.
 
-    The decoded lines, their cumulative masses and each tuple's form values
-    are built once.  A trial draws and decodes as :func:`_frame_trial` does,
-    and the fidelities of each (tuple, correction) pair are computed once by
-    :func:`_corrected_fidelities`, so they are :func:`_frame_trial`'s bit for
-    bit.  A :func:`_noise_free` model draws nothing, so its trials reuse their
-    tuple's decode.
+    The error's Weyl terms are pushed through the encoder's integer tableau
+    (``plan.decoded_shift``, ``plan.phase_form``) once, giving the decoded
+    lines, their cumulative masses and each ancilla tuple's form values.  A
+    trial projects the decoded ancillae as :func:`extract_syndrome` does, one
+    outcome drawn from one ``rng.random()`` double, and decodes its record.
+    The correction moves the projected logical line, whose overlap with the
+    input is the logical fidelity, and the post-correction fidelity when the
+    ancillae are back at zero; each (tuple, correction) pair's fidelities are
+    computed once.  A :func:`_noise_free` model draws nothing, so its trials
+    reuse their tuple's record and decode.  A one-mode ``grid`` serves any
+    code: only N and dx are read.
     """
 
     def __init__(
@@ -669,33 +615,51 @@ class _OutcomeTable:
         plan: SyndromePlan, grid: GridSpec, decode_modes: Sequence[int] | None,
     ) -> None:
         self.psi = np.asarray(logical_wavefunction, dtype=np.complex128)
-        self.psi_hat = self.psi / np.linalg.norm(self.psi)
+        self.psi_hat = self.psi / np.linalg.norm(self.psi)  # encode() normalizes psi
         self.code, self.plan, self.grid, self.decode_modes = code, plan, grid, decode_modes
         self.tuples, self.lines, probs = _decoded_lines(self.psi_hat, error, code, plan, grid)
         self.cum = np.cumsum(probs)
         self.true_values = _form_values(self.tuples, plan, grid)
-        self.noise_free_steps: dict[int, np.ndarray | None] = {}
+        self.noise_free_decodes: dict[int, tuple] = {}
         self.fidelities: dict[tuple, tuple[float, float]] = {}
 
-    def trial(self, model: MeasurementModel, rng: np.random.Generator) -> tuple[float, float]:
-        """(post-correction fidelity, logical fidelity) of one trial."""
+    def trial(
+        self, model: MeasurementModel, rng: np.random.Generator
+    ) -> tuple[float, float, DisplacementError | None, SyndromeRecord, bool]:
+        """(post-correction fidelity, logical fidelity, inferred error,
+        record, correction applied) of one trial."""
         t = _draw_outcome(self.cum, rng)
         noise_free = _noise_free(model)
-        if noise_free and t in self.noise_free_steps:
-            steps = self.noise_free_steps[t]
+        if noise_free and t in self.noise_free_decodes:
+            err, steps, record = self.noise_free_decodes[t]
         else:
             record = _record(self.true_values[t], model, rng, self.plan)
-            _, steps, _ = _correction_steps(self.code, record, self.grid.dx, self.decode_modes)
+            err, steps, _ = _correction_steps(self.code, record, self.grid.dx, self.decode_modes)
             if noise_free:
-                self.noise_free_steps[t] = steps
+                self.noise_free_decodes[t] = err, steps, record
         key = (t, None if steps is None else steps.tobytes())
         fids = self.fidelities.get(key)
         if fids is None:
-            fids = self.fidelities[key] = _corrected_fidelities(
-                self.psi, self.psi_hat, self.code, self.plan, self.grid, self.tuples[t],
-                _renormalized(self.lines[t]), steps,
-            )
-        return fids
+            fids = self.fidelities[key] = self._corrected_fidelities(t, steps)
+        return *fids, err, record, steps is not None
+
+    def _corrected_fidelities(self, t: int, steps: np.ndarray | None) -> tuple[float, float]:
+        """(post-correction fidelity, logical fidelity) of outcome ``t``, the
+        normalized logical line times the ancilla tuple, after the correction
+        ``steps`` (None: no correction)."""
+        # the projected decoded state is logical (x) |ancillae>; the correction
+        # moves both factors, and its kicks on the ancillae are global phases
+        code, grid, ancillae = self.code, self.grid, self.tuples[t]
+        lm, n = code.logical_mode, grid.n_points
+        logical = MultiModeState(GridSpec(n, 1), _renormalized(self.lines[t]))
+        if steps is not None:
+            d = self.plan.decoded_shift @ steps
+            logical = apply_displacement(logical, 0, d[lm], d[code.mode_count + lm] * grid.dx)
+            ancillae = np.mod(ancillae + d[list(code.ancilla_modes)], n)
+        post_fid = 0.0
+        if np.all(ancillae == grid.center_index):
+            post_fid = abs(np.vdot(self.psi_hat, logical.tensor)) ** 2
+        return float(post_fid), float(abs(np.vdot(self.psi, logical.tensor)) ** 2)
 
 
 # ---------------------------------------------------------------------------

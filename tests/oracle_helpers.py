@@ -178,3 +178,12 @@ def circuit_from_steps(m: int, steps):
         other = (first + 1 + (offset - 1) % (m - 1)) % m
         gates.append(Gate(kind, (first,) if kind in ("F", "Finv") else (first, other)))
     return Circuit(m, tuple(gates))
+
+
+def trial_fields(trial) -> tuple:
+    """A frame trial's (post, logical, inferred error, record, applied) with
+    the record's arrays as bytes, so ``==`` compares every field exactly."""
+    post, logical, inferred, record, applied = trial
+    return (post, logical, inferred, record.true_values.tobytes(),
+            record.reported_values.tobytes(), record.nullifier_ids, record.forms.tobytes(),
+            applied)

@@ -216,6 +216,15 @@ def test_bad_sweep_config_is_usage_error(tmp_path, capsys):
     path.write_text('{"code": "repetition3"}')
     assert run_cli(["sweep", "--config", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+    # the per-trial stream keys on the seed's low 64 bits, so 2**64 used to
+    # print seed 0's CSVs and -1 those of 2**64 - 1
+    out, trials = tmp_path / "s.csv", tmp_path / "t.csv"
+    for seed in (2**64, -1):
+        path.write_text(json.dumps({**SMALL_SWEEP, "seed": seed}))
+        assert run_cli(["sweep", "--config", str(path), "--out", str(out),
+                        "--trials-out", str(trials)]) == 2
+        assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not out.exists() and not trials.exists()
 
 
 @pytest.mark.parametrize("command", ["encode", "cycle"])

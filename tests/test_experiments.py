@@ -7,6 +7,7 @@ import pytest
 from cvqec import codes, experiments, syndrome
 from cvqec.experiments import ConfigError, SweepConfig, logical_wavefunction
 from cvqec.grid import GridError, GridSpec, fidelity
+from oracle_helpers import trial_fields
 
 BASE = {"code": "repetition3", "grid_n": 8, "sigmas": [0.0, 1.0], "trials": 2, "seed": 1}
 
@@ -72,6 +73,14 @@ def test_sweep_config_refuses_non_integer_counts(key, value):
         SweepConfig(**{**BASE, key: value})
     with pytest.raises(ConfigError, match=f"{key} must be an integer"):
         SweepConfig.from_json(json.dumps({**BASE, key: value}))
+
+
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_sweep_config_refuses_seed_outside_64_bits(seed):
+    # trial_rng keys on the low 64 bits: 2**64 used to replay seed 0's trials
+    with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*64\)"):
+        SweepConfig(**{**BASE, "seed": seed})
+    assert SweepConfig(**{**BASE, "seed": seed % 2**64}).seed == seed % 2**64
 
 
 def test_sweep_config_accepts_integral_floats_as_ints():
@@ -179,25 +188,55 @@ TABLE_SWEEP_ROUTES = SWEEP_ROUTES + [
 
 @pytest.mark.parametrize("spec", TABLE_SWEEP_ROUTES,
                          ids=lambda s: f"{s['code']}-n{s['grid_n']}")
-def test_sweep_trials_equal_untabulated_frame_trials(spec):
+def test_sweep_trials_equal_untabulated_frame_trials(monkeypatch, spec):
     config = SweepConfig(**spec)
     code = codes.get_code(config.code)
     grid = GridSpec(config.grid_n, 1)
     psi = logical_wavefunction(config.logical, grid)
     error = experiments.error_from_config(config.error, grid.dx)
     plan = syndrome.build_syndrome_circuit(code)
-    expected = []
+    expected, expected_trials = [], []
     for si, sigma_dx in enumerate(sorted(config.sigmas)):
         model = syndrome.MeasurementModel.gaussian(sigma_dx * grid.dx, config.repetitions)
         for t in range(config.trials):
-            full, logical, *_ = syndrome._frame_trial(
-                psi, code, error, model, experiments.trial_rng(config.seed, si, t), grid,
-                config.decode_modes, plan,
-            )
+            # a fresh one-trial table memoizes nothing: the untabulated reference
+            fresh = syndrome._OutcomeTable(psi, code, error, plan, grid, config.decode_modes)
+            trial = fresh.trial(model, experiments.trial_rng(config.seed, si, t))
+            expected_trials.append(trial_fields(trial))
+            full, logical, *_ = trial
             expected.append((sigma_dx * grid.dx, config.repetitions, t, full, logical))
+    seen = []
+    tabulated = syndrome._OutcomeTable.trial
+
+    def recorded(self, model, rng):
+        trial = tabulated(self, model, rng)
+        seen.append(trial_fields(trial))
+        return trial
+
+    monkeypatch.setattr(syndrome._OutcomeTable, "trial", recorded)
     trial_rows: list[tuple] = []
     experiments.run_sweep(config, trial_rows=trial_rows)
     assert trial_rows == expected
+    assert seen == expected_trials
+
+
+def test_noise_free_sweep_decodes_each_outcome_once(monkeypatch):
+    # a convolution spreads the draw over several ancilla tuples; at sigma 0
+    # each tuple's record is fixed, so its decode is memoized
+    config = SweepConfig(code="braunstein5", grid_n=8, sigmas=[0.0], trials=200, seed=5,
+                         error={"kind": "convolution", "mode": 2, "kernel_width": 0.8})
+    decoded = []
+    decode = syndrome._decode
+
+    def counted(code, values, **kwargs):
+        decoded.append(np.asarray(values).tobytes())
+        return decode(code, values, **kwargs)
+
+    monkeypatch.setattr(syndrome, "_decode", counted)
+    trial_rows: list[tuple] = []
+    experiments.run_sweep(config, trial_rows=trial_rows)
+    assert len(trial_rows) == config.trials
+    assert 1 < len(decoded) == len(set(decoded)) < config.trials
 
 
 def _dense_stage_rows(config: SweepConfig) -> list[experiments.SweepRow]:
