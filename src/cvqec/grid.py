@@ -241,18 +241,26 @@ def apply_displacement(
     """Displace one mode: momentum kick exp(2i * q * x) first, then a position
     shift by an integer number of grid points (periodic).
 
-    Sub-grid position shifts are rejected; route those through
-    :func:`apply_kernel_convolution` with an interpolating kernel.
+    Writes one new state-sized buffer: the input is rolled once and then
+    kicked in place by the phase vector rolled by the same shift, so entry j
+    is ``T[j - s] * phase[j - s]``, the kick-then-shift value bit for bit.
+    The input tensor is never written.  Sub-grid position shifts are
+    rejected; route those through :func:`apply_kernel_convolution` with an
+    interpolating kernel.
     """
     _check_mode(state.grid, mode)
     if int(shift_points) != shift_points:
         raise GridError(f"shift_points must be an integer, got {shift_points!r}")
+    shift, ndim = int(shift_points), state.grid.mode_count
     tensor = state.tensor
+    if shift:
+        tensor = np.roll(tensor, shift, axis=mode)
     if momentum_kick != 0.0:
         phase = np.exp(2j * momentum_kick * state.grid.x_values())
-        tensor = tensor * _along_axis(phase, mode, state.grid.mode_count)
-    if shift_points:
-        tensor = np.roll(tensor, int(shift_points), axis=mode)
+        if shift:
+            tensor *= _along_axis(np.roll(phase, shift), mode, ndim)
+        else:
+            tensor = tensor * _along_axis(phase, mode, ndim)
     return MultiModeState(state.grid, np.ascontiguousarray(tensor))
 
 
@@ -265,8 +273,9 @@ def apply_kernel_convolution(
     grid, so a delta kernel at y = k*dx acts as a position shift by -k points.
     The error is the circulant C[x, y] = K[(y - x + N/2) mod N] applied along
     the mode's axis with :func:`apply_mode_matrix`.  The map need not be
-    unitary; the output is renormalized and the pre-normalization norm is
-    returned for diagnostics.
+    unitary; the output is renormalized in place, in the matmul's one
+    state-sized buffer, and the pre-normalization norm is returned for
+    diagnostics.
     """
     _check_mode(state.grid, mode)
     kernel = np.asarray(kernel, dtype=np.complex128)
@@ -281,15 +290,26 @@ def apply_kernel_convolution(
     pre_norm = float(np.linalg.norm(out))
     if pre_norm == 0.0:
         raise GridError("kernel annihilated the state")
-    return MultiModeState(state.grid, out / pre_norm), pre_norm
+    out /= pre_norm
+    return MultiModeState(state.grid, out), pre_norm
 
 
 def gaussian_kernel(grid: GridSpec, width: float) -> np.ndarray:
-    """L2-normalized real Gaussian error kernel sampled on the grid, centred at 0."""
-    if width <= 0:
-        raise GridError("width must be positive")
+    """L2-normalized real Gaussian error kernel sampled on the grid, centred at 0.
+
+    The width's square must be a finite nonzero float: below about
+    2e-162 it underflows to 0 (the centre sample is then 0/0), above about
+    1.3e154 it overflows.
+    """
+    try:
+        variance = width**2
+    except OverflowError:
+        variance = math.inf
+    if not (width > 0 and 0 < variance < math.inf):
+        raise GridError(f"kernel width must have a finite nonzero square, got {width}")
     y = grid.x_values()
-    k = np.exp(-(y**2) / (2.0 * width**2)).astype(np.complex128)
+    with np.errstate(over="ignore"):  # a narrow kernel's far samples are exp(-inf) = 0
+        k = np.exp(-(y**2) / (2.0 * variance)).astype(np.complex128)
     return k / np.linalg.norm(k)
 
 

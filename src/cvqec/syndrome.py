@@ -449,9 +449,15 @@ def apply_error(state: MultiModeState, error: ErrorSpec) -> MultiModeState:
 
 
 def _error_kernel(error: ErrorSpec, grid: GridSpec) -> np.ndarray:
+    """The convolution's kernel, as both the dense error and
+    :func:`_weyl_terms` read it; refuses one that is not finite or all zero."""
     if error.kernel is not None:
-        return np.asarray(error.kernel, dtype=np.complex128)
-    return gaussian_kernel(grid, error.kernel_width)
+        kernel = np.asarray(error.kernel, dtype=np.complex128)
+    else:
+        kernel = gaussian_kernel(grid, error.kernel_width)
+    if not (np.isfinite(kernel).all() and kernel.any()):
+        raise GridError("error kernel must be finite and not all zero")
+    return kernel
 
 
 def _weyl_terms(error: ErrorSpec, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

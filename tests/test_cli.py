@@ -290,6 +290,24 @@ def test_non_finite_error_in_sweep_config_is_usage_error(tmp_path, capsys, error
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("width", ["1e-300", "1e-200", "1e300"])
+def test_kernel_width_without_a_finite_square_is_usage_error(tmp_path, capsys, width):
+    # 1e-300 and 1e-200 used to give a NaN kernel and an IndexError in the
+    # outcome table, 1e300 an OverflowError in gaussian_kernel
+    assert run_cli(["cycle", "--code", "braunstein5", "--grid-n", "8",
+                    "--kernel-width", width]) == 2
+    assert "kernel width must have a finite nonzero square" in capsys.readouterr().err
+    path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    path.write_text(json.dumps({
+        "code": "braunstein5", "grid_n": 8, "sigmas": [0.0], "trials": 2, "seed": 1,
+        "error": {"kind": "convolution", "mode": 0, "kernel_width": float(width)}}))
+    trials = tmp_path / "trials.csv"
+    assert run_cli(["sweep", "--config", str(path), "--out", str(out),
+                    "--trials-out", str(trials)]) == 2
+    assert "kernel width must have a finite nonzero square" in capsys.readouterr().err
+    assert not out.exists() and not trials.exists()
+
+
 @pytest.mark.parametrize("entry,message", [
     ({"sigmas": [True]}, "sigma must be a number, got True"),
     ({"sigmas": [0.0, "0.5"]}, "sigma must be a number, got '0.5'"),

@@ -288,6 +288,96 @@ def test_kernel_convolution_rejects_zero_kernel():
         apply_kernel_convolution(st, 0, np.zeros(8))
 
 
+def _state_with_signed_zeros(n, m, seed):
+    """Random amplitudes with exact zeros of both signs, where a reordered
+    product or divide would show in the bytes."""
+    rng = np.random.default_rng(seed)
+    tensor = rng.normal(size=(n,) * m) + 1j * rng.normal(size=(n,) * m)
+    flat = tensor.reshape(-1)
+    flat[rng.random(flat.size) < 0.2] = 0.0
+    flat.real[rng.random(flat.size) < 0.1] = -0.0
+    flat.imag[rng.random(flat.size) < 0.1] = -0.0
+    return MultiModeState(GridSpec(n, m), tensor)
+
+
+@pytest.mark.parametrize("n,mode", [(8, 0), (8, 1), (8, 2), (8, 3), (8, 4), (16, 2)])
+def test_dense_error_bytes_match_kick_then_shift(n, mode):
+    from cvqec.grid import apply_mode_matrix
+
+    st = _state_with_signed_zeros(n, 5, 40 + n + mode)
+    g, before = st.grid, st.tensor.tobytes()
+    along = [1] * 5
+    along[mode] = n
+    for shift in (0, 2, -2):
+        for kick in (0.0, g.dx, 0.37 * g.dx):
+            out = apply_displacement(st, mode, shift, kick).tensor
+            expected = st.tensor
+            if kick:
+                expected = expected * np.exp(2j * kick * g.x_values()).reshape(along)
+            expected = np.roll(expected, shift, axis=mode)
+            assert out.tobytes() == expected.tobytes(), (shift, kick)
+            assert out.flags.c_contiguous
+            if shift or kick:
+                assert not np.shares_memory(out, st.tensor)
+    rng = np.random.default_rng(n + mode)
+    j = np.arange(n)
+    for kernel in (gaussian_kernel(g, 0.8 * g.dx), rng.normal(size=n) + 1j * rng.normal(size=n)):
+        circulant = kernel[(j[None, :] - j[:, None] + g.center_index) % n]
+        raw = apply_mode_matrix(st.tensor, mode, circulant)
+        expected_norm = float(np.linalg.norm(raw))
+        out, pre_norm = apply_kernel_convolution(st, mode, kernel)
+        assert pre_norm == expected_norm
+        assert out.tensor.tobytes() == (raw / expected_norm).tobytes()
+        assert out.tensor.flags.c_contiguous
+        assert not np.shares_memory(out.tensor, st.tensor)
+    assert st.tensor.tobytes() == before
+
+
+@pytest.mark.parametrize("kind", ["displacement", "convolution"])
+def test_dense_error_allocates_one_state(kind):
+    import tracemalloc
+
+    g = GridSpec(16, 5)
+    st = make_product_state(g, [8, 7, 9, 8, 8])
+    kernel = gaussian_kernel(g, 0.8 * g.dx)
+    state_bytes = 16 * 16**5
+    tracemalloc.start()
+    try:
+        for mode in (0, 2, 4):  # the first and last axes take different matmul views
+            if kind == "displacement":
+                for shift, kick in ((2, 0.37 * g.dx), (0, g.dx), (-2, 0.0)):
+                    tracemalloc.reset_peak()
+                    out = apply_displacement(st, mode, shift, kick)
+                    peak = tracemalloc.get_traced_memory()[1]
+                    del out
+                    assert peak <= state_bytes + 2**20, (mode, shift, kick, peak)
+            else:
+                tracemalloc.reset_peak()
+                out, _ = apply_kernel_convolution(st, mode, kernel)
+                peak = tracemalloc.get_traced_memory()[1]
+                del out
+                assert peak <= state_bytes + 2**20, (mode, peak)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("width", [1e-300, 1e-200, 0.0, -1.0, float("nan"), float("inf"), 1e300])
+def test_gaussian_kernel_refuses_widths_without_a_finite_square(width):
+    with pytest.raises(GridError, match="finite nonzero square"):
+        gaussian_kernel(GridSpec(8, 1), width)
+
+
+@pytest.mark.parametrize("width", [1e-161, 1e-3, 0.3, 1.0, 7.5, 1.3e154])
+def test_gaussian_kernel_bytes_for_working_widths(width):
+    g = GridSpec(8, 1)
+    y = g.x_values()
+    with np.errstate(over="ignore"):
+        k = np.exp(-(y**2) / (2.0 * width**2)).astype(np.complex128)
+    kernel = gaussian_kernel(g, width)
+    assert kernel.tobytes() == (k / np.linalg.norm(k)).tobytes()
+    assert np.isfinite(kernel).all() and kernel.any()
+
+
 def test_reduced_density_pure_and_product():
     g = GridSpec(8, 1)
     vec = random_state(8, 1, 4)

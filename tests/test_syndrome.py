@@ -6,6 +6,7 @@ from hypothesis import strategies as hs
 from cvqec import (
     CodeSpec,
     ErrorSpec,
+    GridError,
     GridSpec,
     MeasurementModel,
     MultiModeState,
@@ -631,6 +632,25 @@ def test_cycle_matches_physical_frame_on_drawn_inputs(case, steps, seed, error_k
     decode_modes = None if decode_pick is None else [decode_pick % code.mode_count]
     _assert_cycle_matches_physical_frame(psi, code, error, model, seed, grid, plan,
                                          encode(psi, code, grid), decode_modes)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+def test_non_finite_or_zero_explicit_kernel_is_refused(bad):
+    # a NaN entry used to reach the Born sampler through both the dense error
+    # and the Weyl terms
+    code = build_braunstein5()
+    grid = GridSpec(8, 5)
+    psi = eigenstate(8, 4)
+    kernel = np.zeros(8, dtype=np.complex128)
+    kernel[5] = bad
+    error = ErrorSpec("convolution", mode=2, kernel=tuple(kernel))
+    with pytest.raises(GridError, match="finite and not all zero"):
+        apply_error(encode(psi, code, grid), error)
+    with pytest.raises(GridError, match="finite and not all zero"):
+        syndrome_module._weyl_terms(error, grid)
+    with pytest.raises(GridError, match="finite and not all zero"):
+        run_qec_cycle(psi, code, error, MeasurementModel.exact(),
+                      np.random.default_rng(1), grid=grid)
 
 
 def test_cycle_with_reference_runs_no_gate(monkeypatch):
