@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .codes import BUILTIN_CODES, get_code
-from .grid import GridSpec
+from .grid import GridSpec, kernel_variance
 from .syndrome import (
     ErrorSpec,
     MeasurementModel,
@@ -95,11 +95,12 @@ class SweepConfig:
             and all(type(m) is int for m in self.decode_modes)
         ):
             raise ConfigError(f"decode_modes must be a list of ints, got {self.decode_modes!r}")
+        grid = GridSpec(self.grid_n, 1)
         try:
-            error_from_config(self.error)
+            error_from_config(self.error, grid.dx)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad error spec: {exc}") from exc
-        logical_wavefunction(self.logical, GridSpec(self.grid_n, 1))
+        logical_wavefunction(self.logical, grid)
 
     @staticmethod
     def from_json(text: str) -> "SweepConfig":
@@ -177,7 +178,8 @@ def logical_wavefunction(spec: dict, grid: GridSpec) -> np.ndarray:
 
 
 def error_from_config(spec: dict, dx: float = 1.0) -> ErrorSpec:
-    """Shift is in grid points; kick and kernel width are in units of dx."""
+    """Shift is in grid points; kick and kernel width are in units of dx.  A
+    kernel width without a finite nonzero square is refused as written."""
     kind = _spec_kind("error", spec, "none", _ERROR_KEYS)
     if kind == "none":
         return ErrorSpec.none()
@@ -187,10 +189,10 @@ def error_from_config(spec: dict, dx: float = 1.0) -> ErrorSpec:
             _config_int("shift", spec.get("shift", 0)),
             _config_float("kick", spec.get("kick", 0.0)) * dx,
         )
-    return ErrorSpec.convolution(
-        _config_int("error mode", spec.get("mode", 0)),
-        _config_float("kernel_width", spec["kernel_width"]) * dx,
-    )
+    width = _config_float("kernel_width", spec["kernel_width"])
+    error = ErrorSpec.convolution(_config_int("error mode", spec.get("mode", 0)), width * dx)
+    kernel_variance(width, dx)
+    return error
 
 
 def trial_rng(seed: int, stream: int, trial: int) -> np.random.Generator:
@@ -288,7 +290,7 @@ TRIALS_HEADER = "code,error_kind,error_mode,sigma,repetitions,trial,fidelity,log
 
 def trial_rows_to_csv(config: SweepConfig, trial_rows: Sequence[tuple]) -> str:
     """Per-trial stream: one row per (sigma, trial)."""
-    error = error_from_config(config.error)
+    error = error_from_config(config.error, GridSpec(config.grid_n, 1).dx)
     lines = [TRIALS_HEADER]
     for sigma, reps, trial, full, logical in trial_rows:
         lines.append(

@@ -281,7 +281,7 @@ def apply_kernel_convolution(
     kernel = np.asarray(kernel, dtype=np.complex128)
     if kernel.shape != (state.grid.n_points,):
         raise GridError(f"kernel shape {kernel.shape} != ({state.grid.n_points},)")
-    if np.allclose(kernel, 0.0):
+    if not kernel.any():  # a tiny kernel is valid: the renormalization scales it up
         raise GridError("all-zero kernel")
     _check_matrix_budget(kernel.size)
     j = np.arange(kernel.size)
@@ -294,19 +294,26 @@ def apply_kernel_convolution(
     return MultiModeState(state.grid, out), pre_norm
 
 
-def gaussian_kernel(grid: GridSpec, width: float) -> np.ndarray:
-    """L2-normalized real Gaussian error kernel sampled on the grid, centred at 0.
-
-    The width's square must be a finite nonzero float: below about
-    2e-162 it underflows to 0 (the centre sample is then 0/0), above about
-    1.3e154 it overflows.
-    """
+def kernel_variance(width: float, dx: float = 1.0) -> float:
+    """The square of the absolute kernel width ``width * dx``, refused
+    (GridError, quoting ``width`` as given) unless it is a finite nonzero
+    float: below about 2e-162 absolute it underflows to 0 (the centre sample
+    is then 0/0), above about 1.3e154 it overflows."""
+    absolute = width * dx
     try:
-        variance = width**2
+        variance = absolute**2
     except OverflowError:
         variance = math.inf
-    if not (width > 0 and 0 < variance < math.inf):
+    if not (absolute > 0 and 0 < variance < math.inf):
         raise GridError(f"kernel width must have a finite nonzero square, got {width}")
+    return variance
+
+
+def gaussian_kernel(grid: GridSpec, width: float) -> np.ndarray:
+    """L2-normalized real Gaussian error kernel sampled on the grid, centred at
+    0; the width's square must be a finite nonzero float (see
+    :func:`kernel_variance`)."""
+    variance = kernel_variance(width)
     y = grid.x_values()
     with np.errstate(over="ignore"):  # a narrow kernel's far samples are exp(-inf) = 0
         k = np.exp(-(y**2) / (2.0 * variance)).astype(np.complex128)

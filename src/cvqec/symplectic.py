@@ -17,6 +17,7 @@ linear quadrature combinations with value exactly zero on every encoded state
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
@@ -29,6 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .codes import CodeSpec
 
 SV_RTOL = 1e-9  # relative singular-value tolerance for rank decisions
+_SCAN_CHUNK = 5**6  # measurement_basis combinations per array pass
 
 
 class DecodeError(ValueError):
@@ -119,11 +121,33 @@ def gate_symplectic(gate: Gate, m_modes: int) -> SymplecticRep:
     return SymplecticRep(m_modes, s)
 
 
+def _apply_gate_rows(s: np.ndarray, gate: Gate, m_modes: int) -> None:
+    """Left-multiply the tableau ``s`` by the gate's symplectic matrix in
+    place, as the row operations that matrix performs."""
+    if gate.kind in ("F", "Finv"):
+        (k,) = gate.modes
+        x, p = k, m_modes + k
+        s[[x, p]] = s[[p, x]]  # then F negates the new x row, Finv the new p row
+        s[x if gate.kind == "F" else p] *= -1
+    else:
+        c, t = gate.modes
+        if gate.kind == "Sum":
+            s[t] += s[c]
+            s[m_modes + c] -= s[m_modes + t]
+        else:
+            s[t] -= s[c]
+            s[m_modes + c] += s[m_modes + t]
+
+
 def circuit_symplectic(circuit: Circuit) -> SymplecticRep:
-    s = np.eye(2 * circuit.mode_count)
+    """The product of the gates' symplectic matrices, last gate leftmost,
+    built by row operations on one tableau.  Every zero is +0.0, as the
+    matrix product gives."""
+    m = circuit.mode_count
+    s = np.eye(2 * m)
     for g in circuit.gates:
-        s = gate_symplectic(g, circuit.mode_count).matrix @ s
-    return SymplecticRep(circuit.mode_count, s)
+        _apply_gate_rows(s, g, m)
+    return SymplecticRep(m, s + 0.0)
 
 
 def weyl_phase_form(circuit: Circuit) -> np.ndarray:
@@ -144,7 +168,7 @@ def weyl_phase_form(circuit: Circuit) -> np.ndarray:
         if g.kind in ("F", "Finv"):
             (k,) = g.modes
             q -= np.outer(s[k], s[m + k])
-        s = np.rint(gate_symplectic(g, m).matrix).astype(np.int64) @ s
+        _apply_gate_rows(s, g, m)
     return q
 
 
@@ -182,30 +206,34 @@ def measurement_basis(nullifiers: Sequence[Nullifier], m_modes: int) -> list[Nul
     Such rows are diagonalizable by per-mode Fourier rotations and can be
     accumulated into a single ancilla with Sum gates, which is what the
     syndrome circuits need.  The search scans the integer combinations of the
-    raw rows with coefficients in [-2, 2], one array pass per leading
-    coefficient.  Friendly rows are sign-normalized (a flipped row keeps -0.0
-    zeros), deduplicated keeping the first occurrence, ranked position-only
-    first, then by L1 weight, then lexicographically, and picked greedily.
-    Raises if no spanning friendly basis exists.
+    raw rows with coefficients in [-2, 2], in chunks of ``_SCAN_CHUNK``
+    combinations (one chunk for up to six rows).  Friendly rows are
+    sign-normalized (a flipped row keeps -0.0 zeros), deduplicated on their
+    base-3 digits keeping the first occurrence, ranked position-only first,
+    then by L1 weight, then lexicographically, and picked greedily.  Raises if
+    no spanning friendly basis exists.
     """
     k = len(nullifiers)
     raw = np.array([n.as_array() for n in nullifiers]).reshape(k, 2 * m_modes)
-    combos = np.indices((5,) * k, dtype=np.int8).reshape(k, 5**k).T - 2
-    blocks = []
-    for block in np.array_split(combos, 5):  # one leading coefficient each
-        block = block[np.any(block != 0, axis=1)]
-        rows = block.astype(float) @ raw
-        nonzero = np.abs(rows) > 1e-9
-        rows[~nonzero] = 0.0
-        mixed = np.any(nonzero[:, :m_modes] & nonzero[:, m_modes:], axis=1)
-        unit = np.all(~nonzero | (np.abs(np.abs(rows) - 1.0) < 1e-9), axis=1)
-        rows, nonzero = rows[~mixed & unit], nonzero[~mixed & unit]
+    # column i holds the base-5 digits of i, less 2; the all-zero column goes
+    combos = np.indices((5,) * k, dtype=np.int8).reshape(k, 5**k) - 2
+    combos = np.delete(combos, 5**k // 2, axis=1)
+    found = []
+    for start in range(0, combos.shape[1], _SCAN_CHUNK):
+        # one column per combination, so the per-row tests reduce over axis 0
+        cols = raw.T @ combos[:, start:start + _SCAN_CHUNK].astype(float)
+        nonzero = np.abs(cols) > 1e-9
+        cols[~nonzero] = 0.0
+        mixed = np.any(nonzero[:m_modes] & nonzero[m_modes:], axis=0)
+        unit = np.all(~nonzero | (np.abs(np.abs(cols) - 1.0) < 1e-9), axis=0)
+        rows, nonzero = cols[:, ~mixed & unit].T, nonzero[:, ~mixed & unit].T
         flip = rows[np.arange(len(rows)), np.argmax(nonzero, axis=1)] < 0
         rows[flip] = -rows[flip]
-        blocks.append(np.round(rows))
-    candidates = np.concatenate(blocks)
-    # + 0.0 maps -0.0 to 0.0, so rows that differ only in signed zeros match
-    _, first_seen = np.unique(candidates + 0.0, axis=0, return_index=True)
+        found.append(np.round(rows))
+    candidates = np.concatenate(found)
+    # the digits are -1, 0, +1, so -0.0 and 0.0 share a key
+    key = (candidates.astype(np.int64) + 1) @ 3 ** np.arange(2 * m_modes, dtype=np.int64)
+    _, first_seen = np.unique(key, return_index=True)
     uniq = candidates[first_seen]
     # lexsort keys run from minor to major
     weight = np.sum(np.abs(uniq), axis=1)
@@ -270,42 +298,48 @@ def check_correctability(code: "CodeSpec", error_class: str = "full") -> Correct
     must be injective.  Per mode pair: the two image spaces must intersect only
     at zero (full singular-value rank of the stacked column block).  The error
     class restricts displacements to position shifts, momentum kicks, or both.
+    The M mode blocks go through one stacked SVD and the M(M-1)/2 pair blocks
+    through another.
     """
     if error_class not in ERROR_CLASSES:
         raise ValueError(f"error_class must be one of {ERROR_CLASSES}")
     syn = code.syndrome_matrix()
     m_modes = code.mode_count
-    cols_of = {
-        "full": lambda m: [m, m_modes + m],
-        "position": lambda m: [m],
-        "momentum": lambda m: [m_modes + m],
+    modes = np.arange(m_modes)
+    cols = {
+        "full": np.stack([modes, m_modes + modes], axis=1),
+        "position": modes[:, None],
+        "momentum": m_modes + modes[:, None],
     }[error_class]
-    report = CorrectabilityReport(m_modes, error_class, [], {}, {})
-    for m in range(m_modes):
-        _, ok = _min_needed_singular(syn[:, cols_of(m)])
-        report.mode_injective.append(ok)
+    pairs = list(itertools.combinations(range(m_modes), 2))
+    j, k = np.array(pairs).T
+    # syn[:, cols] is (rows, blocks, columns); the SVD stacks over the leading axis
+    _, mode_ok = _min_needed_singular(syn[:, cols].transpose(1, 0, 2))
+    pair_min, pair_ok = _min_needed_singular(
+        syn[:, np.concatenate([cols[j], cols[k]], axis=1)].transpose(1, 0, 2)
+    )
+    report = CorrectabilityReport(m_modes, error_class, mode_ok.tolist(), {}, {})
+    for m, ok in enumerate(report.mode_injective):
         if not ok:
             report.failures.append(f"mode {m}: {error_class} displacements not injective")
-    for j in range(m_modes):
-        for k in range(j + 1, m_modes):
-            min_sv, ok = _min_needed_singular(syn[:, cols_of(j) + cols_of(k)])
-            report.pair_min_singular[(j, k)] = min_sv
-            report.pair_ok[(j, k)] = ok
-            if not ok:
-                report.failures.append(f"pair ({j},{k}): images intersect beyond zero")
+    for pair, min_sv, ok in zip(pairs, pair_min.tolist(), pair_ok.tolist()):
+        report.pair_min_singular[pair] = min_sv
+        report.pair_ok[pair] = ok
+        if not ok:
+            report.failures.append(f"pair ({pair[0]},{pair[1]}): images intersect beyond zero")
     return report
 
 
-def _min_needed_singular(block: np.ndarray) -> tuple[float, bool]:
-    """The smallest singular value full column rank needs (the k-th of k
-    columns) and whether it clears SV_RTOL times the largest; a block with
-    fewer rows than columns gives (0.0, False)."""
-    sv = np.linalg.svd(block, compute_uv=False)
-    want = block.shape[1]
-    if len(sv) < want:
-        return 0.0, False
-    min_sv = float(sv[want - 1])
-    return min_sv, min_sv > SV_RTOL * max(float(sv[0]), 1e-300)
+def _min_needed_singular(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per block of a stack: the smallest singular value full column rank
+    needs (the k-th of k columns) and whether it clears SV_RTOL times the
+    largest; blocks with fewer rows than columns give (0.0, False)."""
+    sv = np.linalg.svd(blocks, compute_uv=False)
+    want = blocks.shape[2]
+    if sv.shape[1] < want:
+        return np.zeros(len(blocks)), np.zeros(len(blocks), dtype=bool)
+    min_sv = sv[:, want - 1]
+    return min_sv, min_sv > SV_RTOL * np.maximum(sv[:, 0], 1e-300)
 
 
 def decode_syndrome(

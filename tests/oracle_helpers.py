@@ -166,6 +166,67 @@ def scan_measurement_basis(raw_rows: np.ndarray, m_modes: int) -> np.ndarray:
     return np.array(picked).reshape(k, 2 * m_modes)
 
 
+def gate_product_symplectic(circuit) -> np.ndarray:
+    """Reference for ``symplectic.circuit_symplectic``: the product of the
+    gates' 2M x 2M matrices, last gate leftmost, one matmul per gate."""
+    from cvqec import gate_symplectic
+
+    m = circuit.mode_count
+    s = np.eye(2 * m)
+    for g in circuit.gates:
+        s = gate_symplectic(g, m).matrix @ s
+    return s
+
+
+def gate_product_phase_form(circuit) -> np.ndarray:
+    """Reference for ``symplectic.weyl_phase_form``: each F or Finv on mode k
+    adds -S[k] (x) S[M + k] of the integer tableau S it meets, and S advances
+    by one integer matrix product per gate."""
+    from cvqec import gate_symplectic
+
+    m = circuit.mode_count
+    s = np.eye(2 * m, dtype=np.int64)
+    q = np.zeros((2 * m, 2 * m), dtype=np.int64)
+    for g in circuit.gates:
+        if g.kind in ("F", "Finv"):
+            (k,) = g.modes
+            q -= np.outer(s[k], s[m + k])
+        s = np.rint(gate_symplectic(g, m).matrix).astype(np.int64) @ s
+    return q
+
+
+def blockwise_correctability(syn: np.ndarray, m_modes: int, error_class: str):
+    """Reference for ``symplectic.check_correctability``: one SVD per mode
+    block and one per mode-pair block.  Returns (mode_injective,
+    pair_min_singular, pair_ok, failures) as the report holds them."""
+    from cvqec.symplectic import SV_RTOL
+
+    cols_of = {
+        "full": lambda m: [m, m_modes + m],
+        "position": lambda m: [m],
+        "momentum": lambda m: [m_modes + m],
+    }[error_class]
+
+    def needed(block):
+        sv = np.linalg.svd(block, compute_uv=False)
+        want = block.shape[1]
+        if len(sv) < want:  # fewer rows than columns
+            return 0.0, False
+        min_sv = float(sv[want - 1])
+        return min_sv, min_sv > SV_RTOL * max(float(sv[0]), 1e-300)
+
+    injective, pair_min, pair_ok, failures = [], {}, {}, []
+    for m in range(m_modes):
+        injective.append(needed(syn[:, cols_of(m)])[1])
+        if not injective[-1]:
+            failures.append(f"mode {m}: {error_class} displacements not injective")
+    for j, k in itertools.combinations(range(m_modes), 2):
+        pair_min[(j, k)], pair_ok[(j, k)] = needed(syn[:, cols_of(j) + cols_of(k)])
+        if not pair_ok[(j, k)]:
+            failures.append(f"pair ({j},{k}): images intersect beyond zero")
+    return injective, pair_min, pair_ok, failures
+
+
 def circuit_from_steps(m: int, steps):
     """A circuit on ``m`` modes from (kind, first, offset) draws: one-mode
     gates act on ``first mod m``; two-mode gates pair it with a distinct

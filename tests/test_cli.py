@@ -1,12 +1,12 @@
 import json
-import os
 import warnings
 
 import numpy as np
 import pytest
 
 from cvqec.cli import main
-from cvqec import load_state
+from cvqec import GridError, GridSpec, load_state
+from cvqec.experiments import error_from_config
 
 
 def run_cli(args):
@@ -150,25 +150,16 @@ def test_sweep_zero_noise_recovers_exactly(tmp_path):
     assert float(row["analytic_logical_fidelity"]) >= 1 - 1e-12
 
 
-def test_sweep_is_byte_deterministic_across_runs_and_threads(tmp_path):
+def test_sweep_is_byte_deterministic_across_runs(tmp_path):
     cfg = sweep_config(tmp_path)
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    old = os.environ.get("CVQEC_THREADS")
-    try:
-        os.environ["CVQEC_THREADS"] = "1"
-        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out1)]) == 0
-        os.environ["CVQEC_THREADS"] = "4"
-        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out2)]) == 0
-    finally:
-        if old is None:
-            os.environ.pop("CVQEC_THREADS", None)
-        else:
-            os.environ["CVQEC_THREADS"] = old
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_braunstein5_convolution_sweep_is_byte_deterministic_across_threads(tmp_path):
+def test_braunstein5_convolution_sweep_is_byte_deterministic_across_runs(tmp_path):
     # the repetition3 sweeps above meet no Fourier gate and no convolution
     config = {
         "code": "braunstein5", "grid_n": 8, "sigmas": [0.0, 0.5], "trials": 4, "seed": 3,
@@ -177,19 +168,11 @@ def test_braunstein5_convolution_sweep_is_byte_deterministic_across_threads(tmp_
     cfg = tmp_path / "b5.json"
     cfg.write_text(json.dumps(config))
     outputs = []
-    old = os.environ.get("CVQEC_THREADS")
-    try:
-        for threads in ("1", "4"):
-            os.environ["CVQEC_THREADS"] = threads
-            out, trials = tmp_path / f"s{threads}.csv", tmp_path / f"t{threads}.csv"
-            assert run_cli(["sweep", "--config", str(cfg), "--out", str(out),
-                            "--trials-out", str(trials)]) == 0
-            outputs.append((out.read_bytes(), trials.read_bytes()))
-    finally:
-        if old is None:
-            os.environ.pop("CVQEC_THREADS", None)
-        else:
-            os.environ["CVQEC_THREADS"] = old
+    for run in range(2):
+        out, trials = tmp_path / f"s{run}.csv", tmp_path / f"t{run}.csv"
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out),
+                        "--trials-out", str(trials)]) == 0
+        outputs.append((out.read_bytes(), trials.read_bytes()))
     assert outputs[0] == outputs[1]
     assert len(outputs[0][1].splitlines()) == 1 + 2 * 4
 
@@ -306,6 +289,24 @@ def test_kernel_width_without_a_finite_square_is_usage_error(tmp_path, capsys, w
                     "--trials-out", str(trials)]) == 2
     assert "kernel width must have a finite nonzero square" in capsys.readouterr().err
     assert not out.exists() and not trials.exists()
+
+
+def test_kernel_width_refusal_quotes_the_width_as_typed(tmp_path, capsys):
+    # the refusal used to quote the absolute width, 1e-300 * dx = 6.27e-301
+    assert run_cli(["cycle", "--code", "braunstein5", "--grid-n", "8",
+                    "--kernel-width", "1e-300"]) == 2
+    err = capsys.readouterr().err
+    assert "kernel width must have a finite nonzero square, got 1e-300" in err
+    assert "6.2665706865775e-301" not in err
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "code": "braunstein5", "grid_n": 8, "sigmas": [0.0], "trials": 2, "seed": 1,
+        "error": {"kind": "convolution", "mode": 0, "kernel_width": 1e-300}}))
+    assert run_cli(["sweep", "--config", str(path)]) == 2
+    assert "kernel width must have a finite nonzero square, got 1e-300" in capsys.readouterr().err
+    with pytest.raises(GridError, match="got 1e-300"):
+        error_from_config({"kind": "convolution", "mode": 0, "kernel_width": 1e-300},
+                          GridSpec(8, 1).dx)
 
 
 @pytest.mark.parametrize("entry,message", [

@@ -34,10 +34,15 @@ from cvqec import (
     syndrome_matrix,
 )
 from cvqec.symplectic import DecodeError, weyl_phase_form
+from cvqec import symplectic as symplectic_module
+from cvqec.transpile import builtin_five_qubit_circuit, enumerate_valid_assignments, substitute
 from oracle_helpers import (
+    blockwise_correctability,
     circuit_from_steps,
     dense_gate,
     dense_weyl,
+    gate_product_phase_form,
+    gate_product_symplectic,
     random_state,
     scan_measurement_basis,
 )
@@ -485,3 +490,78 @@ def test_measurement_basis_keeps_the_signed_zeros_of_the_first_occurrence():
     assert np.signbit(rows[rows == 0]).any()
     assert np.array_equal(rows, want)
     assert np.array_equal(np.signbit(rows), np.signbit(want))
+
+
+def _assert_basis_matches_the_reference_scan(raw, m):
+    try:
+        want = scan_measurement_basis(np.array([n.coeffs for n in raw]), m)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            measurement_basis(raw, m)
+        return
+    got = np.array([n.coeffs for n in measurement_basis(raw, m)])
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# seven combinations per chunk, so chunk edges fall inside every digit run
+def test_chunked_scan_matches_the_reference_scan_on_shor9(monkeypatch):
+    monkeypatch.setattr(symplectic_module, "_SCAN_CHUNK", 7)
+    _assert_basis_matches_the_reference_scan(build_shor9().raw_nullifiers, 9)  # 5^8 combinations
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_chunked_scan_matches_the_reference_scan_on_drawn_encoders(monkeypatch, m):
+    monkeypatch.setattr(symplectic_module, "_SCAN_CHUNK", 7)
+    rng = np.random.default_rng(m)
+    for _ in range(6):
+        steps = [(str(rng.choice(["F", "Finv", "Sum", "SumInv"])), int(rng.integers(0, 6)),
+                  int(rng.integers(1, 6))) for _ in range(int(rng.integers(1, 9)))]
+        raw = CodeSpec.from_encoder("random", circuit_from_steps(m, steps)).raw_nullifiers
+        _assert_basis_matches_the_reference_scan(raw, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=hs.integers(2, 6), steps=hs.lists(GATE_STEPS, max_size=12))
+def test_tableau_row_operations_match_the_gate_products(m, steps):
+    """circuit_symplectic equals the product of the gate matrices byte for
+    byte, every zero +0.0 as the product leaves it, and weyl_phase_form equals
+    the per-gate integer-product route."""
+    circ = circuit_from_steps(m, steps)
+    got, want = circuit_symplectic(circ).matrix, gate_product_symplectic(circ)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    q = weyl_phase_form(circ)
+    assert q.dtype == np.int64 and np.array_equal(q, gate_product_phase_form(circ))
+
+
+def _correctability_cases():
+    qc = builtin_five_qubit_circuit()
+    yield from (build_repetition3(), build_braunstein5(), build_shor9())
+    yield from (CodeSpec.from_encoder("candidate", substitute(qc, v.assignment))
+                for v in enumerate_valid_assignments(qc))
+    rng = np.random.default_rng(20)
+    for m in (2, 3, 4, 5):
+        for _ in range(8):
+            steps = [(str(rng.choice(["F", "Finv", "Sum", "SumInv"])), int(rng.integers(0, 5)),
+                      int(rng.integers(1, 5))) for _ in range(int(rng.integers(1, 9)))]
+            yield CodeSpec.from_encoder("random", circuit_from_steps(m, steps))
+
+
+def test_stacked_svds_match_one_svd_per_block():
+    """check_correctability's two stacked SVDs give the per-block reports, the
+    pair minima equal to the last bit; two-mode codes have one nullifier row,
+    fewer than a full-class block's columns."""
+    seen_short = False
+    for code in _correctability_cases():
+        for error_class in ("full", "position", "momentum"):
+            report = check_correctability(code, error_class)
+            injective, pair_min, pair_ok, failures = blockwise_correctability(
+                code.syndrome_matrix(), code.mode_count, error_class)
+            assert report.mode_injective == injective
+            assert {p: v.hex() for p, v in report.pair_min_singular.items()} == {
+                p: v.hex() for p, v in pair_min.items()}
+            assert report.pair_ok == pair_ok
+            assert report.failures == failures
+            seen_short |= code.mode_count == 2 and error_class == "full"
+    assert seen_short

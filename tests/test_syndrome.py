@@ -653,6 +653,28 @@ def test_non_finite_or_zero_explicit_kernel_is_refused(bad):
                       np.random.default_rng(1), grid=grid)
 
 
+def test_tiny_explicit_kernel_runs_on_the_dense_and_the_frame_route():
+    # every entry below 1e-8: the dense error used to refuse it as "all-zero"
+    # while the frame route ran it, so a cycle raised where a sweep did not
+    code = build_braunstein5()
+    grid = GridSpec(8, 5)
+    psi = two_peak(8, 3)
+    kernel = np.zeros(8, dtype=np.complex128)
+    kernel[4], kernel[5] = 1e-9, 5e-10
+    error = ErrorSpec("convolution", mode=2, kernel=tuple(kernel))
+    plan = build_syndrome_circuit(code)
+    reference = encode(psi, code, grid)
+    models = [MeasurementModel.exact(), MeasurementModel.gaussian(0.8 * grid.dx)]
+    for seed, model in enumerate(models):
+        _assert_cycle_matches_physical_frame(psi, code, error, model, seed, grid, plan, reference)
+    table = syndrome_module._OutcomeTable(psi, code, error, plan, grid, None)
+    post, logical, *_ = table.trial(MeasurementModel.exact(), np.random.default_rng(5))
+    report = run_qec_cycle(psi, code, error, MeasurementModel.exact(), np.random.default_rng(5),
+                           grid=grid, plan=plan, reference=reference)
+    assert (report.post_correction_fidelity, report.logical_fidelity) == (post, logical)
+    assert report.pre_error_fidelity < 1 - 1e-3  # the error is not the identity
+
+
 def test_cycle_with_reference_runs_no_gate(monkeypatch):
     code = build_braunstein5()
     grid = GridSpec(8, 5)
