@@ -1,16 +1,20 @@
 """Config-driven Monte-Carlo sweeps over measurement-noise widths.
 
 A trial is :func:`cvqec.syndrome.run_qec_cycle` without the pre-error
-fidelity, its only dense step, which no CSV column holds: the frame trial,
-``syndrome._OutcomeTable.trial``, reads one mode's N grid points, so sweeps
+fidelity, its only dense step, which no CSV column holds: the frame trials,
+``syndrome._OutcomeTable.trials``, read one mode's N grid points, so sweeps
 are not bounded by N^M.  A sweep fixes its error, so each :func:`run_sweep`
 call builds one outcome table (the decoded lines and their masses) and runs
-every trial through it; the fidelities of each (outcome, correction) pair are
-computed once.  The rows and CSV bytes are those of running every trial on a
-table of its own.
+every sigma's trials through it as a batch: per trial only the draws run in
+Python, and each chunk of trials finds its outcomes, decodes its records and
+reads each (outcome, correction) pair's fidelities, computed once, in array
+passes.  The rows and CSV bytes are those of running every trial on a table
+of its own.
 
 Trials are independent; each draws its random stream from (seed, sigma index,
-trial index), so sweep CSVs are byte-identical across runs for a fixed config.
+trial index), the :func:`trial_rng` stream, which a sweep reads from one
+generator re-keyed per trial (:func:`_trial_streams`), so sweep CSVs are
+byte-identical across runs for a fixed config.
 They are not guaranteed identical across BLAS thread counts
 (OPENBLAS_NUM_THREADS and the like): norms, overlaps and the one-mode matrix
 products run in BLAS, whose threaded reductions can move the last bit of a
@@ -23,7 +27,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -195,11 +199,37 @@ def error_from_config(spec: dict, dx: float = 1.0) -> ErrorSpec:
     return error
 
 
+def _trial_key(seed: int, stream: int, trial: int) -> int:
+    """The 128-bit Philox key of trial ``trial`` of stream ``stream``."""
+    return ((seed & 0xFFFFFFFFFFFFFFFF) << 64) | ((stream & 0xFFFFFFFF) << 32) | (trial & 0xFFFFFFFF)
+
+
 def trial_rng(seed: int, stream: int, trial: int) -> np.random.Generator:
     """Cheap counter-based per-trial stream; depends only on (seed, stream,
     trial)."""
-    key = ((seed & 0xFFFFFFFFFFFFFFFF) << 64) | ((stream & 0xFFFFFFFF) << 32) | (trial & 0xFFFFFFFF)
-    return np.random.Generator(np.random.Philox(counter=0, key=key))
+    return np.random.Generator(np.random.Philox(counter=0, key=_trial_key(seed, stream, trial)))
+
+
+def _trial_streams(
+    seed: int, stream: int, trials: Iterable[int]
+) -> Iterator[np.random.Generator]:
+    """``trial_rng(seed, stream, t)`` for each t of ``trials``, bit for bit,
+    from one generator whose Philox is re-keyed through ``.state`` (counter 0,
+    empty buffer) for each trial; each yielded generator's stream lasts until
+    the next is taken.  Re-keying skips building a Philox and its discarded
+    OS-entropy seed sequence per trial."""
+    bits = np.random.Philox(counter=0, key=0)
+    rng = np.random.Generator(bits)
+    zeros = np.zeros(4, dtype=np.uint64)
+    for t in trials:
+        key = _trial_key(seed, stream, t)
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": np.array([key & 0xFFFFFFFFFFFFFFFF, key >> 64],
+                                                         dtype=np.uint64)},
+            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        yield rng
 
 
 @dataclass
@@ -230,10 +260,14 @@ def run_sweep(
         sigma = sigma_dx * grid.dx
         model = MeasurementModel.gaussian(sigma, repetitions=config.repetitions)
         full, logical = np.empty(config.trials), np.empty(config.trials)
-        for t in range(config.trials):
-            full[t], logical[t], *_ = table.trial(model, trial_rng(config.seed, si, t))
-            if trial_rows is not None:
-                trial_rows.append((sigma, config.repetitions, t, full[t], logical[t]))
+        done = 0
+        for batch in table.trials(model, _trial_streams(config.seed, si, range(config.trials))):
+            stop = done + len(batch.post)
+            full[done:stop], logical[done:stop] = batch.post, batch.logical
+            done = stop
+        if trial_rows is not None:
+            trial_rows.extend((sigma, config.repetitions, t, full[t], logical[t])
+                              for t in range(config.trials))
         analytic: float | None = None
         if code.name == "repetition3":
             error_mode = error.mode if error.kind != "none" else 0

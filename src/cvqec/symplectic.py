@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -210,11 +210,24 @@ def measurement_basis(nullifiers: Sequence[Nullifier], m_modes: int) -> list[Nul
     combinations (one chunk for up to six rows).  Friendly rows are
     sign-normalized (a flipped row keeps -0.0 zeros), deduplicated on their
     base-3 digits keeping the first occurrence, ranked position-only first,
-    then by L1 weight, then lexicographically, and picked greedily.  Raises if
-    no spanning friendly basis exists.
+    then by L1 weight, then lexicographically, and picked greedily: a row
+    stays when it is independent of the rows kept before it
+    (:func:`_greedy_independent`).  Raises if no spanning friendly basis
+    exists.
     """
     k = len(nullifiers)
-    raw = np.array([n.as_array() for n in nullifiers]).reshape(k, 2 * m_modes)
+    rows = _friendly_rows(np.array([n.as_array() for n in nullifiers]).reshape(k, 2 * m_modes),
+                          m_modes)
+    picked = _greedy_independent(rows, k)
+    if len(picked) != k:
+        raise ValueError("no measurement-friendly nullifier basis found")
+    return [Nullifier(tuple(rows[i])) for i in picked]
+
+
+def _friendly_rows(raw: np.ndarray, m_modes: int) -> np.ndarray:
+    """The sign-normalized, deduplicated, ranked friendly combinations of the
+    (K, 2M) ``raw`` rows that :func:`measurement_basis` picks from."""
+    k = len(raw)
     # column i holds the base-5 digits of i, less 2; the all-zero column goes
     combos = np.indices((5,) * k, dtype=np.int8).reshape(k, 5**k) - 2
     combos = np.delete(combos, 5**k // 2, axis=1)
@@ -238,17 +251,33 @@ def measurement_basis(nullifiers: Sequence[Nullifier], m_modes: int) -> list[Nul
     # lexsort keys run from minor to major
     weight = np.sum(np.abs(uniq), axis=1)
     has_p = np.any(uniq[:, m_modes:] != 0, axis=1)
-    uniq = uniq[np.lexsort(tuple(uniq[:, ::-1].T) + (weight, has_p))]
-    picked: list[np.ndarray] = []
-    for row in uniq:
-        trial = picked + [row]
-        if np.linalg.matrix_rank(np.array(trial), tol=1e-9) == len(trial):
-            picked.append(row)
-        if len(picked) == k:
-            break
-    if len(picked) != k:
-        raise ValueError("no measurement-friendly nullifier basis found")
-    return [Nullifier(tuple(r)) for r in picked]
+    return uniq[np.lexsort(tuple(uniq[:, ::-1].T) + (weight, has_p))]
+
+
+def _greedy_independent(rows: np.ndarray, k: int) -> list[int]:
+    """Indices of the first rows, in order, each independent of those picked
+    before it, up to ``k`` of them.
+
+    The kept rows' directions stay orthonormal, and a row is kept when its
+    residual after projecting them out has a norm above 1e-9.  For the
+    {-1, 0, +1} rows of :func:`measurement_basis` the decision is exact: an
+    independent integer row keeps a residual far above 1e-9 (at least the
+    inverse square root of the kept rows' integer Gram determinant), a
+    dependent one a rounding-level one, so this picks the rows that a
+    ``matrix_rank(tol=1e-9)`` test per row picks.
+    """
+    picked: list[int] = []
+    basis = np.zeros((k, rows.shape[1]))
+    for i, row in enumerate(rows):
+        kept = basis[:len(picked)]
+        residual = row - (kept @ row) @ kept
+        norm = np.sqrt(residual @ residual)
+        if norm > 1e-9:
+            basis[len(picked)] = residual / norm
+            picked.append(i)
+            if len(picked) == k:
+                break
+    return picked
 
 
 def syndrome_matrix(nullifiers: Sequence[Nullifier]) -> np.ndarray:
@@ -364,51 +393,149 @@ def decode_syndrome(
     are equivalent (their difference has zero syndrome and zero action on the
     logical quadratures), in which case the lowest mode index wins; otherwise
     they raise :class:`AmbiguousSyndromeError`.
+
+    This is a stack of one for the decoder sweeps run on every trial's
+    record at once, so a syndrome decodes to the same bits alone or stacked.
     """
     syndrome = np.asarray(syndrome, dtype=float)
     if forms is None:
         forms = code.syndrome_matrix()
     if forms.shape != (len(syndrome), 2 * code.mode_count):
         raise ValueError("forms shape does not match syndrome length / mode count")
-    modes = range(code.mode_count) if modes is None else list(modes)
-    bad = [m for m in modes if not 0 <= m < code.mode_count]
-    if bad:
-        # a plain ValueError: correct() reports DecodeErrors as decode outcomes
-        raise ValueError(f"decode mode(s) {bad} out of range [0, {code.mode_count})")
-    if not modes:
-        raise ValueError("decode modes must name at least one mode")
-    if residual_tol is None:
-        residual_tol = 1e-6
-    scale = float(np.linalg.norm(syndrome))
-    if scale < 1e-12:
-        return DisplacementError(0, 0.0, 0.0)
-    m_modes = code.mode_count
-    matches: list[tuple[float, DisplacementError]] = []
-    for m in modes:
-        block = forms[:, [m, m_modes + m]]
-        sol, *_ = np.linalg.lstsq(block, syndrome, rcond=None)
-        residual = float(np.linalg.norm(block @ sol - syndrome))
-        matches.append((residual, DisplacementError(int(m), float(sol[0]), float(sol[1]))))
-    matches.sort(key=lambda t: (t[0], t[1].mode))
-    best_res, best = matches[0]
-    if best_res > residual_tol * scale:
-        raise UnrecognizedSyndromeError(
-            f"no single-mode displacement matches (best residual {best_res:.3e})"
-        )
-    tie_window = 1e-9 * max(scale, 1.0)
-    syn = None  # built on the first tie only
-    for res, cand in matches[1:]:
-        if res > best_res + tie_window or cand.mode == best.mode:
-            continue
-        if syn is None:
-            syn = code.syndrome_matrix()
-        delta = cand.embed(m_modes) - best.embed(m_modes)
-        harmless = (
-            np.linalg.norm(syn @ delta) < 1e-9
-            and np.linalg.norm(code.logical_forms @ delta) < 1e-9
-        )
-        if not harmless:
-            raise AmbiguousSyndromeError(
-                f"modes {best.mode} and {cand.mode} both match the syndrome"
+    return _StackDecoder(code, forms, modes, residual_tol).decode(syndrome[None, :]).error(0)
+
+
+#: ``_DecodedStack.failure`` values
+_DECODED, _UNRECOGNIZED, _AMBIGUOUS = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class _DecodedStack:
+    """Per row of a decoded (T, K) stack: the inferred mode, its (e_x, e_p),
+    the best residual, the failure (``_DECODED``, ``_UNRECOGNIZED`` or
+    ``_AMBIGUOUS``) and, for an ambiguous row, the first harmful rival mode."""
+
+    mode: np.ndarray
+    shift: np.ndarray
+    residual: np.ndarray
+    failure: np.ndarray
+    rival: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "_DecodedStack":
+        return _DecodedStack(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def error(self, t: int) -> DisplacementError:
+        """Row ``t`` as :func:`decode_syndrome` returns or raises it."""
+        if self.failure[t] == _UNRECOGNIZED:
+            raise UnrecognizedSyndromeError(
+                f"no single-mode displacement matches (best residual {self.residual[t]:.3e})"
             )
-    return best
+        if self.failure[t] == _AMBIGUOUS:
+            raise AmbiguousSyndromeError(
+                f"modes {self.mode[t]} and {self.rival[t]} both match the syndrome"
+            )
+        return DisplacementError(int(self.mode[t]), float(self.shift[t, 0]),
+                                 float(self.shift[t, 1]))
+
+
+class _StackDecoder:
+    """:func:`decode_syndrome`'s rule for a (T, K) stack of syndromes.
+
+    One ``np.linalg.pinv`` call on the (B, K, 2) stack of the B candidate
+    modes' column blocks gives their pseudo-inverses and (B, K, K) residual
+    operators I - A A^+, with lstsq's singular-value cutoff.  They reach the
+    syndromes through elementwise multiply-adds over K, so row t has the same
+    bits in any stack.  Candidates rank by (residual, mode); only rows with a
+    rival inside the tie window run the harmless check, one by one.
+    """
+
+    def __init__(
+        self, code: "CodeSpec", forms: np.ndarray, modes: Sequence[int] | None,
+        residual_tol: float | None,
+    ) -> None:
+        m_modes = code.mode_count
+        modes = list(range(m_modes)) if modes is None else list(modes)
+        bad = [m for m in modes if not 0 <= m < m_modes]
+        if bad:
+            # a plain ValueError: correct() reports DecodeErrors as decode outcomes
+            raise ValueError(f"decode mode(s) {bad} out of range [0, {m_modes})")
+        if not modes:
+            raise ValueError("decode modes must name at least one mode")
+        self.code = code
+        self.residual_tol = 1e-6 if residual_tol is None else residual_tol
+        # ascending, so the first of equal residuals is the lowest mode
+        self.modes = np.sort(np.array(modes, dtype=np.int64))
+        k = forms.shape[0]
+        blocks = forms[:, np.stack([self.modes, m_modes + self.modes], axis=1)]
+        blocks = np.ascontiguousarray(blocks.transpose(1, 0, 2))  # (B, K, 2)
+        pinv = np.linalg.pinv(blocks, np.finfo(float).eps * max(k, 2))
+        # per k, one (B, 2 + K) slice: the pseudo-inverse's and the residual
+        # operator's column k, so one pass gives (e_x, e_p) and the residual
+        ops = np.concatenate([pinv, np.eye(k) - blocks @ pinv], axis=1)
+        self.ops = np.ascontiguousarray(ops.transpose(2, 0, 1))
+
+    def decode(self, syndromes: np.ndarray) -> _DecodedStack:
+        s = np.asarray(syndromes, dtype=float)
+        rows = np.arange(len(s))
+        scale = np.sqrt(_row_sum_of_squares(s))
+        fit = _apply_stack(self.ops, s)  # (T, B, 2 + K)
+        if not np.isfinite(fit[:, :, :2]).all():
+            # every candidate's fit is a DisplacementError, as in a decode alone
+            raise ValueError("displacement components must be finite")
+        res = np.sqrt(_row_sum_of_squares(fit[:, :, 2:]))  # (T, B)
+        best = res.argmin(axis=1)
+        mode, shift, best_res = self.modes[best], fit[rows, best, :2], res[rows, best]
+        zero = scale < 1e-12
+        # zero rows decode to zero below; a scale of 1 keeps inf * 0 out
+        failure = np.where(best_res > self.residual_tol * np.where(zero, 1.0, scale),
+                           _UNRECOGNIZED, _DECODED)
+        rival = np.full(len(s), -1, dtype=np.int64)
+        if len(self.modes) > 1:
+            window = best_res + 1e-9 * np.maximum(scale, 1.0)
+            tied = (res <= window[:, None]) & (self.modes != mode[:, None])
+            for t in np.flatnonzero(tied.any(axis=1) & ~zero & (failure == _DECODED)):
+                rival[t] = self._first_harmful(res[t], fit[t, :, :2], best[t], tied[t])
+                if rival[t] >= 0:
+                    failure[t] = _AMBIGUOUS
+        if zero.any():
+            mode[zero], shift[zero] = 0, 0.0
+        return _DecodedStack(mode, shift, best_res, failure, rival)
+
+    def _first_harmful(
+        self, res: np.ndarray, sol: np.ndarray, best: int, tied: np.ndarray
+    ) -> int:
+        """The first tied rival of one row's best candidate, in (residual,
+        mode) order, whose correction differs from the best one by more than a
+        zero-syndrome, zero-logical-action displacement; -1 when none does."""
+        code, m_modes = self.code, self.code.mode_count
+        syn = code.syndrome_matrix()
+        best_d = DisplacementError(int(self.modes[best]), *map(float, sol[best]))
+        for c in np.lexsort((self.modes, res)):
+            if not tied[c]:
+                continue
+            cand = DisplacementError(int(self.modes[c]), *map(float, sol[c]))
+            delta = cand.embed(m_modes) - best_d.embed(m_modes)
+            harmless = (
+                np.linalg.norm(syn @ delta) < 1e-9
+                and np.linalg.norm(code.logical_forms @ delta) < 1e-9
+            )
+            if not harmless:
+                return cand.mode
+        return -1
+
+
+def _row_sum_of_squares(a: np.ndarray) -> np.ndarray:
+    """Sum of squares over the last axis, added in index order."""
+    out = a[..., 0] * a[..., 0]
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * a[..., k]
+    return out
+
+
+def _apply_stack(ops: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(T, B, I): operator b of the (K, B, I) stack ``ops`` applied to each
+    row of the (T, K) stack ``s``, summed over K in index order."""
+    out = ops[0] * s[:, 0, None, None]
+    for k in range(1, s.shape[1]):
+        out += ops[k] * s[:, k, None, None]
+    return out

@@ -38,8 +38,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from .grid import (
     GridSpec,
     MultiModeState,
     _check_matrix_budget,
-    _draw_outcome,
     _renormalized,
     apply_displacement,
     apply_kernel_convolution,
@@ -61,7 +60,14 @@ from .grid import (
     measure_positions,
     reduced_density,
 )
-from .symplectic import DecodeError, DisplacementError, circuit_symplectic, weyl_phase_form
+from .symplectic import (
+    DecodeError,
+    DisplacementError,
+    _DecodedStack,
+    _StackDecoder,
+    circuit_symplectic,
+    weyl_phase_form,
+)
 from .symplectic import decode_syndrome as _decode
 
 
@@ -598,6 +604,38 @@ def run_qec_cycle(
     return QecCycleReport(pre_fid, *table.trial(model, rng))
 
 
+#: trials per array pass of :meth:`_OutcomeTable.trials`
+_TRIAL_CHUNK = 4096
+
+
+@dataclass(frozen=True)
+class _TrialBatch:
+    """One chunk of frame trials as arrays, row i the i-th trial: both
+    fidelities, the drawn outcome's true and reported form values, the
+    decode (mode, (e_x, e_p), failed) and whether a correction was applied."""
+
+    post: np.ndarray
+    logical: np.ndarray
+    true_values: np.ndarray
+    reported: np.ndarray
+    mode: np.ndarray
+    shift: np.ndarray
+    failed: np.ndarray
+    applied: np.ndarray
+    forms: np.ndarray
+
+    def row(self, i: int) -> tuple[float, float, DisplacementError | None, SyndromeRecord, bool]:
+        """(post-correction fidelity, logical fidelity, inferred error,
+        record, correction applied) of trial ``i``."""
+        err = None
+        if not self.failed[i]:
+            err = DisplacementError(int(self.mode[i]), float(self.shift[i, 0]),
+                                    float(self.shift[i, 1]))
+        record = SyndromeRecord(self.true_values[i], self.reported[i],
+                                tuple(range(len(self.forms))), self.forms)
+        return float(self.post[i]), float(self.logical[i]), err, record, bool(self.applied[i])
+
+
 class _OutcomeTable:
     """The cycle after its pre-error fidelity, without the N^M tensor, for one
     fixed error: a sweep's trials differ only in the drawn double, the
@@ -611,9 +649,12 @@ class _OutcomeTable:
     The correction moves the projected logical line, whose overlap with the
     input is the logical fidelity, and the post-correction fidelity when the
     ancillae are back at zero; each (tuple, correction) pair's fidelities are
-    computed once.  A :func:`_noise_free` model draws nothing, so its trials
-    reuse their tuple's record and decode.  A one-mode ``grid`` serves any
-    code: only N and dx are read.
+    computed once.  :meth:`trials` runs a stream of trials in chunks: only
+    the draws are per trial, and each chunk's records decode as one stack
+    (``symplectic._StackDecoder``, whose rows decode to the bits
+    :func:`cvqec.symplectic.decode_syndrome` gives them alone).  A
+    :func:`_noise_free` model draws nothing, so its records decode once per
+    tuple.  A one-mode ``grid`` serves any code: only N and dx are read.
     """
 
     def __init__(
@@ -622,32 +663,101 @@ class _OutcomeTable:
     ) -> None:
         self.psi = np.asarray(logical_wavefunction, dtype=np.complex128)
         self.psi_hat = self.psi / np.linalg.norm(self.psi)  # encode() normalizes psi
-        self.code, self.plan, self.grid, self.decode_modes = code, plan, grid, decode_modes
+        self.code, self.plan, self.grid = code, plan, grid
         self.tuples, self.lines, probs = _decoded_lines(self.psi_hat, error, code, plan, grid)
         self.cum = np.cumsum(probs)
         self.true_values = _form_values(self.tuples, plan, grid)
-        self.noise_free_decodes: dict[int, tuple] = {}
+        # correct() decodes without a residual bound unless strict
+        self.decoder = _StackDecoder(code, plan.forms, decode_modes, float("inf"))
+        # row t: tuple t's decode, failure -1 until tuple t is drawn
+        self.noise_free_decodes: _DecodedStack | None = None
         self.fidelities: dict[tuple, tuple[float, float]] = {}
 
     def trial(
         self, model: MeasurementModel, rng: np.random.Generator
     ) -> tuple[float, float, DisplacementError | None, SyndromeRecord, bool]:
         """(post-correction fidelity, logical fidelity, inferred error,
-        record, correction applied) of one trial."""
-        t = _draw_outcome(self.cum, rng)
-        noise_free = _noise_free(model)
-        if noise_free and t in self.noise_free_decodes:
-            err, steps, record = self.noise_free_decodes[t]
-        else:
-            record = _record(self.true_values[t], model, rng, self.plan)
-            err, steps, _ = _correction_steps(self.code, record, self.grid.dx, self.decode_modes)
+        record, correction applied) of one trial: a batch of one."""
+        return next(self.trials(model, [rng])).row(0)
+
+    def trials(
+        self, model: MeasurementModel, rngs: Iterable[np.random.Generator]
+    ) -> Iterator[_TrialBatch]:
+        """One trial per generator of ``rngs``, in chunks of at most
+        ``_TRIAL_CHUNK``.  Each generator makes that trial's draws, in the
+        order one trial makes them (its double, then its readout noise),
+        before the next is taken, so an iterator may hand out one generator
+        re-keyed per trial."""
+        rngs = iter(rngs)
+        k, reps, noise_free = len(self.plan.forms), model.repetitions, _noise_free(model)
+        while True:
+            doubles, noise = [], []
+            for rng in itertools.islice(rngs, _TRIAL_CHUNK):
+                doubles.append(rng.random())
+                if model.kind == "custom":
+                    noise.append([model.sample_noise(rng) for _ in range(k)])
+                elif not noise_free:
+                    noise.append(rng.normal(0.0, model.sigma, size=(k, reps)))
+            if not doubles:
+                return
+            # _draw_outcome for every double at once
+            outcome = np.searchsorted(self.cum, np.array(doubles) * self.cum[-1], side="right")
+            true_values = self.true_values[outcome]
             if noise_free:
-                self.noise_free_decodes[t] = err, steps, record
-        key = (t, None if steps is None else steps.tobytes())
-        fids = self.fidelities.get(key)
-        if fids is None:
-            fids = self.fidelities[key] = self._corrected_fidelities(t, steps)
-        return *fids, err, record, steps is not None
+                # _record's values: the true ones, -0.0 made +0.0
+                reported = true_values + 0.0
+                decoded = self._noise_free_decodes(outcome)
+            else:
+                noise = np.array(noise)
+                reported = true_values + (noise if model.kind == "custom" else noise.mean(axis=2))
+                decoded = self.decoder.decode(reported)
+            yield self._corrected(outcome, true_values, reported, decoded)
+
+    def _noise_free_decodes(self, outcome: np.ndarray) -> _DecodedStack:
+        """Rows ``outcome`` of the decodes of the tuples' exact records; the
+        tuples not drawn before decode as one stack."""
+        memo = self.noise_free_decodes
+        if memo is None:
+            n = len(self.tuples)
+            memo = self.noise_free_decodes = _DecodedStack(
+                mode=np.zeros(n, np.int64), shift=np.zeros((n, 2)), residual=np.zeros(n),
+                failure=np.full(n, -1, np.int64), rival=np.full(n, -1, np.int64))
+        drawn = np.zeros(len(self.tuples), dtype=bool)
+        drawn[outcome] = True
+        new = np.flatnonzero(drawn & (memo.failure < 0))
+        if len(new):
+            decoded = self.decoder.decode(self.true_values[new] + 0.0)
+            for f in fields(memo):
+                getattr(memo, f.name)[new] = getattr(decoded, f.name)
+        return memo.take(outcome)
+
+    def _corrected(
+        self, outcome: np.ndarray, true_values: np.ndarray, reported: np.ndarray,
+        decoded: _DecodedStack,
+    ) -> _TrialBatch:
+        """The chunk's corrections, as whole grid steps -rint(e / dx), and the
+        fidelities of each distinct (tuple, correction) pair."""
+        dx, m = self.grid.dx, self.code.mode_count
+        failed = decoded.failure != 0
+        step_x = -np.rint(decoded.shift[:, 0] / dx).astype(np.int64)
+        step_p = -np.rint(decoded.shift[:, 1] / dx).astype(np.int64)
+        applied = ~failed & ((step_x != 0) | (step_p != 0))
+        fids = []
+        for t, apply, mode, sx, sp in zip(outcome.tolist(), applied.tolist(),
+                                          decoded.mode.tolist(), step_x.tolist(),
+                                          step_p.tolist()):
+            key = (t, mode, sx, sp) if apply else (t,)
+            f = self.fidelities.get(key)
+            if f is None:
+                steps = None
+                if apply:
+                    steps = np.zeros(2 * m, dtype=np.int64)
+                    steps[mode], steps[m + mode] = sx, sp
+                f = self.fidelities[key] = self._corrected_fidelities(t, steps)
+            fids.append(f)
+        post, logical = np.array(fids).reshape(-1, 2).T
+        return _TrialBatch(post, logical, true_values, reported, decoded.mode, decoded.shift,
+                           failed, applied, self.plan.forms)
 
     def _corrected_fidelities(self, t: int, steps: np.ndarray | None) -> tuple[float, float]:
         """(post-correction fidelity, logical fidelity) of outcome ``t``, the
@@ -764,15 +874,20 @@ def decoherence_prediction(
         grid = GridSpec(len(psi), 1)
     _check_matrix_budget(grid.n_points)
     p = residual_shift_distribution(code, model, grid, error_mode)
-    c0 = grid.center_index
-    rho = np.zeros((grid.n_points, grid.n_points), dtype=np.complex128)
-    for k in range(grid.n_points):
-        if p[k] == 0:
-            continue
-        # entry k holds P(rounded estimate error = k points); the correction
-        # subtracts the estimate, so the state ends shifted by -k points
-        shifted = np.roll(psi, -(k - c0))
-        rho += p[k] * np.outer(shifted, shifted.conj())
+    n, c0 = grid.n_points, grid.center_index
+    # entry k holds P(rounded estimate error = k points); the correction
+    # subtracts the estimate, so the state ends shifted by -k points:
+    # row i of ``shifted`` is np.roll(psi, -(k_i - c0)), gathered at once
+    (ks,) = np.nonzero(p)
+    shifted = psi[np.mod(np.arange(n) + (ks - c0)[:, None], n)]
+    conj = shifted.conj()
+    rho = np.zeros((n, n), dtype=np.complex128)
+    term = np.empty((n, n), dtype=np.complex128)
+    for i, k in enumerate(ks):
+        # p[k] * np.outer(shifted, shifted.conj()), in one reused buffer
+        np.multiply(shifted[i, :, None], conj[i, None, :], out=term)
+        term *= p[k]
+        rho += term
     return rho
 
 

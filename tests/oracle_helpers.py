@@ -248,3 +248,82 @@ def trial_fields(trial) -> tuple:
     return (post, logical, inferred, record.true_values.tobytes(),
             record.reported_values.tobytes(), record.nullifier_ids, record.forms.tobytes(),
             applied)
+
+
+def lstsq_decode(code, syndrome, forms=None, modes=None, residual_tol=None):
+    """Reference for ``symplectic.decode_syndrome``: one ``np.linalg.lstsq``
+    per candidate mode, ranked by (residual, mode), then the tie window and
+    the harmless check in that order.  Returns the DisplacementError or
+    raises the DecodeError the decoder raises."""
+    from cvqec.symplectic import (
+        AmbiguousSyndromeError,
+        DisplacementError,
+        UnrecognizedSyndromeError,
+    )
+
+    syndrome = np.asarray(syndrome, dtype=float)
+    if forms is None:
+        forms = code.syndrome_matrix()
+    m_modes = code.mode_count
+    modes = range(m_modes) if modes is None else list(modes)
+    if residual_tol is None:
+        residual_tol = 1e-6
+    scale = float(np.linalg.norm(syndrome))
+    if scale < 1e-12:
+        return DisplacementError(0, 0.0, 0.0)
+    matches = []
+    for m in modes:
+        block = forms[:, [m, m_modes + m]]
+        sol, *_ = np.linalg.lstsq(block, syndrome, rcond=None)
+        residual = float(np.linalg.norm(block @ sol - syndrome))
+        matches.append((residual, DisplacementError(int(m), float(sol[0]), float(sol[1]))))
+    matches.sort(key=lambda t: (t[0], t[1].mode))
+    best_res, best = matches[0]
+    if best_res > residual_tol * scale:
+        raise UnrecognizedSyndromeError(
+            f"no single-mode displacement matches (best residual {best_res:.3e})"
+        )
+    tie_window = 1e-9 * max(scale, 1.0)
+    syn = code.syndrome_matrix()
+    for res, cand in matches[1:]:
+        if res > best_res + tie_window or cand.mode == best.mode:
+            continue
+        delta = cand.embed(m_modes) - best.embed(m_modes)
+        harmless = (
+            np.linalg.norm(syn @ delta) < 1e-9
+            and np.linalg.norm(code.logical_forms @ delta) < 1e-9
+        )
+        if not harmless:
+            raise AmbiguousSyndromeError(
+                f"modes {best.mode} and {cand.mode} both match the syndrome"
+            )
+    return best
+
+
+def rolled_decoherence_prediction(psi, p):
+    """Reference for ``syndrome.decoherence_prediction``'s sum: one
+    ``np.roll`` and one ``np.outer`` per nonzero entry k of the residual shift
+    distribution ``p``, accumulated in k order."""
+    n = len(psi)
+    c0 = n // 2
+    rho = np.zeros((n, n), dtype=np.complex128)
+    for k in range(n):
+        if p[k] == 0:
+            continue
+        shifted = np.roll(psi, -(k - c0))
+        rho += p[k] * np.outer(shifted, shifted.conj())
+    return rho
+
+
+def rank_greedy_pick(rows: np.ndarray, k: int) -> list[int]:
+    """Reference for ``symplectic._greedy_independent``: walk the rows in
+    order and keep one when ``np.linalg.matrix_rank(tol=1e-9)`` of the kept
+    rows plus it grows, up to ``k`` rows."""
+    picked: list[int] = []
+    for i, row in enumerate(rows):
+        trial = [rows[j] for j in picked] + [row]
+        if np.linalg.matrix_rank(np.array(trial), tol=1e-9) == len(trial):
+            picked.append(i)
+        if len(picked) == k:
+            break
+    return picked

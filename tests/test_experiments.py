@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cvqec import codes, experiments, syndrome
+from cvqec import codes, experiments, symplectic, syndrome
 from cvqec.experiments import ConfigError, SweepConfig, logical_wavefunction
 from cvqec.grid import GridError, GridSpec, fidelity
 from oracle_helpers import trial_fields
@@ -206,18 +206,33 @@ def test_sweep_trials_equal_untabulated_frame_trials(monkeypatch, spec):
             full, logical, *_ = trial
             expected.append((sigma_dx * grid.dx, config.repetitions, t, full, logical))
     seen = []
-    tabulated = syndrome._OutcomeTable.trial
+    tabulated = syndrome._OutcomeTable.trials
 
-    def recorded(self, model, rng):
-        trial = tabulated(self, model, rng)
-        seen.append(trial_fields(trial))
-        return trial
+    def recorded(self, model, rngs):
+        for batch in tabulated(self, model, rngs):
+            seen.extend(trial_fields(batch.row(i)) for i in range(len(batch.post)))
+            yield batch
 
-    monkeypatch.setattr(syndrome._OutcomeTable, "trial", recorded)
+    monkeypatch.setattr(syndrome._OutcomeTable, "trials", recorded)
     trial_rows: list[tuple] = []
     experiments.run_sweep(config, trial_rows=trial_rows)
     assert trial_rows == expected
     assert seen == expected_trials
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("stream", [0, 3, 2**32 - 1])
+def test_rekeyed_trial_streams_equal_trial_rng(seed, stream):
+    # each trial's draws: one double, its (K, repetitions) normals, one more
+    # double; every shape leaves the Philox buffer somewhere else
+    trials = [0, 7, 2**32 - 1]
+    for k, reps in [(1, 1), (2, 3), (4, 9), (8, 2), (3, 9)]:
+        for t, rng in zip(trials, experiments._trial_streams(seed, stream, trials)):
+            fresh = experiments.trial_rng(seed, stream, t)
+            assert rng.random() == fresh.random()
+            assert (rng.normal(0.0, 0.7, size=(k, reps)).tobytes()
+                    == fresh.normal(0.0, 0.7, size=(k, reps)).tobytes())
+            assert rng.random() == fresh.random()
 
 
 def test_noise_free_sweep_decodes_each_outcome_once(monkeypatch):
@@ -226,13 +241,13 @@ def test_noise_free_sweep_decodes_each_outcome_once(monkeypatch):
     config = SweepConfig(code="braunstein5", grid_n=8, sigmas=[0.0], trials=200, seed=5,
                          error={"kind": "convolution", "mode": 2, "kernel_width": 0.8})
     decoded = []
-    decode = syndrome._decode
+    decode = symplectic._StackDecoder.decode
 
-    def counted(code, values, **kwargs):
-        decoded.append(np.asarray(values).tobytes())
-        return decode(code, values, **kwargs)
+    def counted(self, syndromes):
+        decoded.extend(row.tobytes() for row in np.asarray(syndromes))
+        return decode(self, syndromes)
 
-    monkeypatch.setattr(syndrome, "_decode", counted)
+    monkeypatch.setattr(symplectic._StackDecoder, "decode", counted)
     trial_rows: list[tuple] = []
     experiments.run_sweep(config, trial_rows=trial_rows)
     assert len(trial_rows) == config.trials

@@ -36,7 +36,7 @@ from cvqec import (
 )
 import cvqec.grid as grid_module
 import cvqec.syndrome as syndrome_module
-from oracle_helpers import circuit_from_steps, trial_fields
+from oracle_helpers import circuit_from_steps, rolled_decoherence_prediction, trial_fields
 from cvqec.syndrome import SyndromeCircuitError, estimator_gain, residual_shift_distribution
 
 
@@ -795,6 +795,51 @@ def test_outcome_table_trials_equal_frame_trials(case, seed, error_kind, mode_pi
         assert trial_fields(shared) == trial_fields(frame)
 
 
+READOUTS = {
+    "exact": lambda dx: MeasurementModel.exact(),
+    "gaussian 0": lambda dx: MeasurementModel.gaussian(0.0, repetitions=2),
+    "gaussian": lambda dx: MeasurementModel.gaussian(0.8 * dx),
+    "gaussian thrice": lambda dx: MeasurementModel.gaussian(0.6 * dx, repetitions=3),
+    "custom": lambda dx: MeasurementModel.custom([-0.6 * dx, 0.0, 0.9 * dx], [0.3, 0.5, 0.2]),
+}
+
+
+@pytest.mark.parametrize("readout", READOUTS)
+def test_trials_batch_across_chunks_equals_frame_trials(monkeypatch, readout):
+    # a convolution spreads the draws over several tuples, and every mode is
+    # a decode candidate; 23 trials in chunks of 5 cross four chunk edges
+    monkeypatch.setattr(syndrome_module, "_TRIAL_CHUNK", 5)
+    code, grid = build_braunstein5(), GridSpec(8, 1)
+    plan, psi = build_syndrome_circuit(code), two_peak(8, 2)
+    error, model = ErrorSpec.convolution(2, 0.8 * grid.dx), READOUTS[readout](grid.dx)
+    table = syndrome_module._OutcomeTable(psi, code, error, plan, grid, None)
+    batches = list(table.trials(model, (np.random.default_rng([3, t]) for t in range(23))))
+    assert [len(b.post) for b in batches] == [5, 5, 5, 5, 3]
+    want = []
+    for t in range(23):
+        fresh = syndrome_module._OutcomeTable(psi, code, error, plan, grid, None)
+        want.append(trial_fields(fresh.trial(model, np.random.default_rng([3, t]))))
+    assert [trial_fields(b.row(i)) for b in batches for i in range(len(b.post))] == want
+
+
+def test_trials_batch_at_the_chunk_size_equals_frame_trials():
+    # the sweep's re-keyed streams against one trial_rng generator per trial,
+    # across the real chunk edge
+    from cvqec.experiments import _trial_streams, trial_rng
+
+    count = syndrome_module._TRIAL_CHUNK + 3
+    code, grid = build_repetition3(), GridSpec(8, 1)
+    plan, psi = build_syndrome_circuit(code), two_peak(8, 2)
+    error, model = ErrorSpec.displacement(1, 2), MeasurementModel.gaussian(0.9 * grid.dx)
+    table = syndrome_module._OutcomeTable(psi, code, error, plan, grid, None)
+    batches = list(table.trials(model, _trial_streams(6, 2, range(count))))
+    assert [len(b.post) for b in batches] == [syndrome_module._TRIAL_CHUNK, 3]
+    got = [trial_fields(b.row(i)) for b in batches for i in range(len(b.post))]
+    for t in range(count):
+        fresh = syndrome_module._OutcomeTable(psi, code, error, plan, grid, None)
+        assert got[t] == trial_fields(fresh.trial(model, trial_rng(6, 2, t)))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     mode=hs.integers(0, 4),
@@ -874,6 +919,24 @@ def test_residual_distribution_sums_to_one_and_tightens_with_repetitions():
     assert p1.sum() == pytest.approx(1.0)
     assert p4.sum() == pytest.approx(1.0)
     assert p4[grid.center_index] > p1[grid.center_index]
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_decoherence_prediction_bytes_match_the_rolled_sum(n):
+    # the gathered shifts accumulate rho in the same k order, one shift at a
+    # time, so every entry keeps its bits; a -0.0 amplitude reaches the
+    # products' signed zeros
+    rng = np.random.default_rng(n)
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi[1] = complex(-0.0, 0.0)
+    psi /= np.linalg.norm(psi)
+    grid, code = GridSpec(n, 1), build_repetition3()
+    for sigma_dx in (0.0, 0.3, 0.5, 1.0, 2.0, 4.0, 16.0):
+        for reps in (1, 3):
+            model = MeasurementModel.gaussian(sigma_dx * grid.dx, reps)
+            p = residual_shift_distribution(code, model, grid)
+            want = rolled_decoherence_prediction(psi, p)
+            assert decoherence_prediction(psi, model, code, grid).tobytes() == want.tobytes()
 
 
 def test_monte_carlo_matches_prediction_smoke():
