@@ -174,9 +174,9 @@ def weyl_phase_form(circuit: Circuit) -> np.ndarray:
 
 def encoder_images(circuit: Circuit) -> np.ndarray:
     """Rows of S^-1: row r expresses the encoder image U R_r U^dag of the input
-    quadrature R_r as a form over the output quadratures."""
-    s = circuit_symplectic(circuit).matrix
-    return np.linalg.inv(s)
+    quadrature R_r as a form over the output quadratures.  S^-1 is the inverse
+    circuit's tableau, integer and exact."""
+    return circuit_symplectic(circuit.inverse()).matrix
 
 
 def ancilla_images(encoder: Circuit, ancilla_modes: Sequence[int]) -> list[Nullifier]:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -66,6 +66,7 @@ from .symplectic import (
     _DecodedStack,
     _StackDecoder,
     circuit_symplectic,
+    encoder_images,
     weyl_phase_form,
 )
 from .symplectic import decode_syndrome as _decode
@@ -218,7 +219,7 @@ def _decoded_frame(code: CodeSpec, forms: np.ndarray) -> tuple[np.ndarray, np.nd
     rows = itertools.combinations(range(len(g)), len(anc))
     if not any(abs(round(np.linalg.det(g[list(r)]))) == 1 for r in rows):
         raise SyndromeCircuitError("no M - 1 readouts with determinant +-1 on the ancillae")
-    return g, np.round(np.linalg.inv(s)).astype(np.int64)
+    return g, encoder_images(code.encoder).astype(np.int64)
 
 
 def _scale_to_unit(row: np.ndarray) -> np.ndarray:
@@ -296,22 +297,26 @@ def _form_values(ancillae: np.ndarray, plan: SyndromePlan, grid: GridSpec) -> np
 def _record(
     true_vals: np.ndarray, model: MeasurementModel, rng: np.random.Generator, plan: SyndromePlan
 ) -> SyndromeRecord:
-    """Add the model's noise to the true values.  Gaussian noise is one
-    ``rng.normal`` call whose draws, value by value and repetition by
-    repetition, are the ones :meth:`MeasurementModel.sample_noise` makes."""
-    if model.kind == "custom":
-        reported = np.array([v + model.sample_noise(rng) for v in true_vals])
-    elif _noise_free(model):
-        reported = true_vals + 0.0
-    else:
-        noise = rng.normal(0.0, model.sigma, size=(len(true_vals), model.repetitions))
-        reported = true_vals + noise.mean(axis=1)
+    """The true values plus the mean of :func:`_readout_noise` over its last
+    axis (plus 0.0, making -0.0 +0.0, when the model draws nothing)."""
+    noise = _readout_noise(model, rng, len(true_vals))
+    reported = true_vals + (0.0 if noise is None else noise.mean(axis=-1))
     return SyndromeRecord(true_vals, reported, tuple(range(len(plan.forms))), plan.forms)
 
 
-def _noise_free(model: MeasurementModel) -> bool:
-    """Whether the model reports the true values and draws nothing."""
-    return model.kind == "exact" or (model.kind == "gaussian" and model.sigma == 0)
+def _readout_noise(
+    model: MeasurementModel, rng: np.random.Generator, k: int
+) -> np.ndarray | None:
+    """One record's draws for ``k`` values, to be averaged over the last axis:
+    a Gaussian model's (k, repetitions) normals in one ``rng.normal`` call,
+    the ones :meth:`MeasurementModel.sample_noise` makes value by value; a
+    custom model's (k, 1) ``sample_noise`` offsets; None, drawing nothing,
+    for an exact or zero-sigma model."""
+    if model.kind == "exact" or (model.kind == "gaussian" and model.sigma == 0):
+        return None
+    if model.kind == "custom":
+        return np.array([[model.sample_noise(rng)] for _ in range(k)])
+    return rng.normal(0.0, model.sigma, size=(k, model.repetitions))
 
 
 def extract_syndrome_via_ancillas(
@@ -370,24 +375,6 @@ def correct(
     the exact-readout acceptance threshold; the default accepts the
     best-fitting mode, which is the correct behavior for noisy records.
     """
-    err, steps, reason = _correction_steps(code, record, state.grid.dx, decode_modes, strict)
-    if steps is None:
-        return CorrectionResult(state, err, False, reason=reason)
-    m, k = code.mode_count, err.mode
-    fixed = apply_displacement(state, k, int(steps[k]), int(steps[m + k]) * state.grid.dx)
-    return CorrectionResult(fixed, err, True)
-
-
-def _correction_steps(
-    code: CodeSpec,
-    record: SyndromeRecord,
-    dx: float,
-    decode_modes: Sequence[int] | None = None,
-    strict: bool = False,
-) -> tuple[DisplacementError | None, np.ndarray | None, str]:
-    """Decode a record into (inferred error, corrective displacement as a 2M
-    vector of whole grid steps, reason); the steps are None, and the reason
-    says why, when the decode fails or rounds to zero."""
     tol = None if strict else float("inf")
     try:
         err = _decode(
@@ -395,11 +382,21 @@ def _correction_steps(
             residual_tol=tol,
         )
     except DecodeError as exc:
-        return None, None, str(exc)
-    steps = -np.rint(err.embed(code.mode_count) / dx).astype(np.int64)
-    if not steps.any():
-        return err, None, "zero correction"
-    return err, steps, ""
+        return CorrectionResult(state, None, False, reason=str(exc))
+    step_x, step_p, moves = _grid_steps(np.array([err.e_x, err.e_p]), state.grid.dx)
+    if not moves:
+        return CorrectionResult(state, err, False, reason="zero correction")
+    fixed = apply_displacement(state, err.mode, int(step_x), int(step_p) * state.grid.dx)
+    return CorrectionResult(fixed, err, True)
+
+
+def _grid_steps(shift: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The corrections of inferred (e_x, e_p) pairs, the last axis of
+    ``shift``, in whole grid steps -rint(e / dx): (step_x, step_p, whether
+    the correction moves anything)."""
+    steps = -np.rint(shift / dx).astype(np.int64)
+    step_x, step_p = steps[..., 0], steps[..., 1]
+    return step_x, step_p, (step_x != 0) | (step_p != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +453,12 @@ def apply_error(state: MultiModeState, error: ErrorSpec) -> MultiModeState:
 
 def _error_kernel(error: ErrorSpec, grid: GridSpec) -> np.ndarray:
     """The convolution's kernel, as both the dense error and
-    :func:`_weyl_terms` read it; refuses one that is not finite or all zero."""
+    :func:`_weyl_terms` read it; refuses an explicit one that is not N long,
+    and one that is not finite or all zero."""
     if error.kernel is not None:
         kernel = np.asarray(error.kernel, dtype=np.complex128)
+        if kernel.shape != (grid.n_points,):
+            raise GridError(f"kernel shape {kernel.shape} != ({grid.n_points},)")
     else:
         kernel = gaussian_kernel(grid, error.kernel_width)
     if not (np.isfinite(kernel).all() and kernel.any()):
@@ -652,9 +652,10 @@ class _OutcomeTable:
     computed once.  :meth:`trials` runs a stream of trials in chunks: only
     the draws are per trial, and each chunk's records decode as one stack
     (``symplectic._StackDecoder``, whose rows decode to the bits
-    :func:`cvqec.symplectic.decode_syndrome` gives them alone).  A
-    :func:`_noise_free` model draws nothing, so its records decode once per
-    tuple.  A one-mode ``grid`` serves any code: only N and dx are read.
+    :func:`cvqec.symplectic.decode_syndrome` gives them alone).  A model
+    that draws no noise has every tuple's exact record decoded once, in one
+    stack, which its trials index.  A one-mode ``grid`` serves any code: only
+    N and dx are read.
     """
 
     def __init__(
@@ -669,7 +670,7 @@ class _OutcomeTable:
         self.true_values = _form_values(self.tuples, plan, grid)
         # correct() decodes without a residual bound unless strict
         self.decoder = _StackDecoder(code, plan.forms, decode_modes, float("inf"))
-        # row t: tuple t's decode, failure -1 until tuple t is drawn
+        # row t: the decode of tuple t's exact record
         self.noise_free_decodes: _DecodedStack | None = None
         self.fidelities: dict[tuple, tuple[float, float]] = {}
 
@@ -687,61 +688,40 @@ class _OutcomeTable:
         ``_TRIAL_CHUNK``.  Each generator makes that trial's draws, in the
         order one trial makes them (its double, then its readout noise),
         before the next is taken, so an iterator may hand out one generator
-        re-keyed per trial."""
+        re-keyed per trial.  The chunk's :func:`_readout_noise` draws are
+        stacked and averaged in one call, as :func:`_record` averages one
+        record's."""
         rngs = iter(rngs)
-        k, reps, noise_free = len(self.plan.forms), model.repetitions, _noise_free(model)
+        k = len(self.plan.forms)
         while True:
             doubles, noise = [], []
             for rng in itertools.islice(rngs, _TRIAL_CHUNK):
                 doubles.append(rng.random())
-                if model.kind == "custom":
-                    noise.append([model.sample_noise(rng) for _ in range(k)])
-                elif not noise_free:
-                    noise.append(rng.normal(0.0, model.sigma, size=(k, reps)))
+                noise.append(_readout_noise(model, rng, k))
             if not doubles:
                 return
             # _draw_outcome for every double at once
             outcome = np.searchsorted(self.cum, np.array(doubles) * self.cum[-1], side="right")
             true_values = self.true_values[outcome]
-            if noise_free:
-                # _record's values: the true ones, -0.0 made +0.0
+            if noise[0] is None:
                 reported = true_values + 0.0
-                decoded = self._noise_free_decodes(outcome)
+                if self.noise_free_decodes is None:
+                    self.noise_free_decodes = self.decoder.decode(self.true_values + 0.0)
+                decoded = self.noise_free_decodes.take(outcome)
             else:
-                noise = np.array(noise)
-                reported = true_values + (noise if model.kind == "custom" else noise.mean(axis=2))
+                reported = true_values + np.array(noise).mean(axis=-1)
                 decoded = self.decoder.decode(reported)
             yield self._corrected(outcome, true_values, reported, decoded)
-
-    def _noise_free_decodes(self, outcome: np.ndarray) -> _DecodedStack:
-        """Rows ``outcome`` of the decodes of the tuples' exact records; the
-        tuples not drawn before decode as one stack."""
-        memo = self.noise_free_decodes
-        if memo is None:
-            n = len(self.tuples)
-            memo = self.noise_free_decodes = _DecodedStack(
-                mode=np.zeros(n, np.int64), shift=np.zeros((n, 2)), residual=np.zeros(n),
-                failure=np.full(n, -1, np.int64), rival=np.full(n, -1, np.int64))
-        drawn = np.zeros(len(self.tuples), dtype=bool)
-        drawn[outcome] = True
-        new = np.flatnonzero(drawn & (memo.failure < 0))
-        if len(new):
-            decoded = self.decoder.decode(self.true_values[new] + 0.0)
-            for f in fields(memo):
-                getattr(memo, f.name)[new] = getattr(decoded, f.name)
-        return memo.take(outcome)
 
     def _corrected(
         self, outcome: np.ndarray, true_values: np.ndarray, reported: np.ndarray,
         decoded: _DecodedStack,
     ) -> _TrialBatch:
-        """The chunk's corrections, as whole grid steps -rint(e / dx), and the
-        fidelities of each distinct (tuple, correction) pair."""
-        dx, m = self.grid.dx, self.code.mode_count
+        """The chunk's corrections, in whole grid steps (:func:`_grid_steps`),
+        and the fidelities of each distinct (tuple, correction) pair."""
         failed = decoded.failure != 0
-        step_x = -np.rint(decoded.shift[:, 0] / dx).astype(np.int64)
-        step_p = -np.rint(decoded.shift[:, 1] / dx).astype(np.int64)
-        applied = ~failed & ((step_x != 0) | (step_p != 0))
+        step_x, step_p, moves = _grid_steps(decoded.shift, self.grid.dx)
+        applied = ~failed & moves
         fids = []
         for t, apply, mode, sx, sp in zip(outcome.tolist(), applied.tolist(),
                                           decoded.mode.tolist(), step_x.tolist(),
@@ -749,28 +729,27 @@ class _OutcomeTable:
             key = (t, mode, sx, sp) if apply else (t,)
             f = self.fidelities.get(key)
             if f is None:
-                steps = None
-                if apply:
-                    steps = np.zeros(2 * m, dtype=np.int64)
-                    steps[mode], steps[m + mode] = sx, sp
-                f = self.fidelities[key] = self._corrected_fidelities(t, steps)
+                f = self.fidelities[key] = self._corrected_fidelities(*key)
             fids.append(f)
         post, logical = np.array(fids).reshape(-1, 2).T
         return _TrialBatch(post, logical, true_values, reported, decoded.mode, decoded.shift,
                            failed, applied, self.plan.forms)
 
-    def _corrected_fidelities(self, t: int, steps: np.ndarray | None) -> tuple[float, float]:
+    def _corrected_fidelities(
+        self, t: int, mode: int | None = None, step_x: int = 0, step_p: int = 0
+    ) -> tuple[float, float]:
         """(post-correction fidelity, logical fidelity) of outcome ``t``, the
-        normalized logical line times the ancilla tuple, after the correction
-        ``steps`` (None: no correction)."""
+        normalized logical line times the ancilla tuple, after shifting
+        ``mode`` by ``step_x`` points and kicking it by ``step_p`` dx (None:
+        no correction)."""
         # the projected decoded state is logical (x) |ancillae>; the correction
         # moves both factors, and its kicks on the ancillae are global phases
         code, grid, ancillae = self.code, self.grid, self.tuples[t]
-        lm, n = code.logical_mode, grid.n_points
+        lm, m, n = code.logical_mode, code.mode_count, grid.n_points
         logical = MultiModeState(GridSpec(n, 1), _renormalized(self.lines[t]))
-        if steps is not None:
-            d = self.plan.decoded_shift @ steps
-            logical = apply_displacement(logical, 0, d[lm], d[code.mode_count + lm] * grid.dx)
+        if mode is not None:
+            d = self.plan.decoded_shift[:, [mode, m + mode]] @ np.array([step_x, step_p])
+            logical = apply_displacement(logical, 0, d[lm], d[m + lm] * grid.dx)
             ancillae = np.mod(ancillae + d[list(code.ancilla_modes)], n)
         post_fid = 0.0
         if np.all(ancillae == grid.center_index):

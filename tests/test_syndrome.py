@@ -300,6 +300,32 @@ def test_correct_flags_inconsistent_record_in_strict_mode():
     assert "residual" in result.reason
 
 
+NOT_APPLIED = {
+    # a shift of 0.3 dx rounds to no grid step
+    "zero correction": (lambda forms, dx: forms[:, 2] * 0.3 * dx, False, True),
+    # the wrap edge: -N/2 steps on two readouts fit a shift of mode 1 and of mode 3
+    "modes 1 and 3 both match the syndrome": (
+        lambda forms, dx: np.array([-8.0, -8.0, 0.0, 0.0]) * dx, False, False),
+    "no single-mode displacement matches (best residual 1.000e+00)": (
+        lambda forms, dx: np.array([1.0, 1.0, 1.0, -1.0]), True, False),
+}
+
+
+@pytest.mark.parametrize("reason", NOT_APPLIED)
+def test_correct_states_why_it_applied_nothing(reason):
+    # the benchmark classifies correct()'s outcomes by these texts
+    code = build_braunstein5()
+    grid = GridSpec(16, 5)
+    record, post = extract_syndrome(direct_encoded_state(code, grid, 8), code,
+                                    MeasurementModel.exact(), np.random.default_rng(0))
+    reported, strict, inferred = NOT_APPLIED[reason]
+    record.reported_values = reported(record.forms, grid.dx)
+    result = correct(post, code, record, strict=strict)
+    assert (result.applied, result.reason) == (False, reason)
+    assert (result.inferred is not None) == inferred
+    assert result.state is post
+
+
 # ---------------------------------------------------------------------------
 # full cycles
 # ---------------------------------------------------------------------------
@@ -651,6 +677,22 @@ def test_non_finite_or_zero_explicit_kernel_is_refused(bad):
     with pytest.raises(GridError, match="finite and not all zero"):
         run_qec_cycle(psi, code, error, MeasurementModel.exact(),
                       np.random.default_rng(1), grid=grid)
+
+
+@pytest.mark.parametrize("length", [4, 12])
+def test_explicit_kernel_of_another_length_than_n_is_refused(length):
+    # the frame route reads only the kernel's nonzero entries, so it ran
+    # such kernels, to fidelity 1.0, where the dense error refused them
+    code, psi = build_braunstein5(), eigenstate(8, 4)
+    kernel = np.zeros(length, dtype=np.complex128)
+    kernel[3] = 1.0
+    error = ErrorSpec("convolution", mode=2, kernel=tuple(kernel))
+    plan = build_syndrome_circuit(code)
+    with pytest.raises(GridError, match=r"kernel shape \(%d,\) != \(8,\)" % length):
+        syndrome_module._OutcomeTable(psi, code, error, plan, GridSpec(8, 1), None)
+    with pytest.raises(GridError, match=r"kernel shape \(%d,\) != \(8,\)" % length):
+        run_qec_cycle(psi, code, error, MeasurementModel.exact(), np.random.default_rng(1),
+                      grid=GridSpec(8, 5), plan=plan)
 
 
 def test_tiny_explicit_kernel_runs_on_the_dense_and_the_frame_route():
