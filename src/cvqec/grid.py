@@ -213,10 +213,12 @@ def _renormalized(kept: np.ndarray) -> np.ndarray:
 def fourier_matrix(n: int) -> np.ndarray:
     """The Fourier gate's kernel (dx / sqrt(pi)) exp(2i x_j x_k), as
     exp(2 pi i ((j - N/2)(k - N/2) mod N) / N) / sqrt(N) from integer phases.
-    It is symmetric, so ``fourier_matrix(n).conj()`` is the inverse gate."""
+    It is symmetric, so ``fourier_matrix(n).conj()`` is the inverse gate.
+    The N roots of unity are evaluated once and gathered by phase."""
     _check_matrix_budget(n)
     j = np.arange(n) - n // 2
-    return np.exp((2j * np.pi / n) * (np.outer(j, j) % n)) / math.sqrt(n)
+    omega = np.exp((2j * np.pi / n) * np.arange(n))
+    return omega[np.outer(j, j) % n] / math.sqrt(n)
 
 
 def apply_mode_matrix(tensor: np.ndarray, axis: int, matrix: np.ndarray) -> np.ndarray:

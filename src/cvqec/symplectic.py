@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .codes import CodeSpec
 
 SV_RTOL = 1e-9  # relative singular-value tolerance for rank decisions
-_SCAN_CHUNK = 5**6  # measurement_basis combinations per array pass
+_SCAN_CHUNK = 5**4  # (code, combination) columns per measurement_basis array pass
 
 
 class DecodeError(ValueError):
@@ -121,33 +121,49 @@ def gate_symplectic(gate: Gate, m_modes: int) -> SymplecticRep:
     return SymplecticRep(m_modes, s)
 
 
-def _apply_gate_rows(s: np.ndarray, gate: Gate, m_modes: int) -> None:
-    """Left-multiply the tableau ``s`` by the gate's symplectic matrix in
-    place, as the row operations that matrix performs."""
+def _apply_gate_rows(
+    s: np.ndarray, gate: Gate, m_modes: int, sign: np.ndarray | None = None
+) -> None:
+    """Left-multiply every tableau of the (B, 2M, 2M) stack ``s`` by the
+    gate's symplectic matrix in place, as the row operations that matrix
+    performs.  ``sign`` is a Sum-type gate's (B, 1) column, +1 where the
+    tableau takes Sum and -1 where it takes SumInv; by default the gate's
+    kind sets it for the whole stack."""
     if gate.kind in ("F", "Finv"):
         (k,) = gate.modes
         x, p = k, m_modes + k
-        s[[x, p]] = s[[p, x]]  # then F negates the new x row, Finv the new p row
-        s[x if gate.kind == "F" else p] *= -1
+        s[:, [x, p]] = s[:, [p, x]]  # then F negates the new x row, Finv the new p row
+        s[:, x if gate.kind == "F" else p] *= -1
     else:
         c, t = gate.modes
-        if gate.kind == "Sum":
-            s[t] += s[c]
-            s[m_modes + c] -= s[m_modes + t]
-        else:
-            s[t] -= s[c]
-            s[m_modes + c] += s[m_modes + t]
+        if sign is None:
+            sign = 1 if gate.kind == "Sum" else -1
+        s[:, t] += sign * s[:, c]
+        s[:, m_modes + c] -= sign * s[:, m_modes + t]
+
+
+def _tableau_stack(
+    m_modes: int, gates: Sequence[Gate], signs: dict[int, np.ndarray] | None = None,
+    batch: int = 1,
+) -> np.ndarray:
+    """The (B, 2M, 2M) stack of the products of the gates' symplectic
+    matrices, last gate leftmost, from one walk over ``gates``.  The B
+    circuits share the gate list and differ only in the Sum-type gates that
+    ``signs`` maps, by position, to a (B, 1) column of +1 (Sum) and -1
+    (SumInv).  The entries are integers, so every tableau is exact, and
+    every zero is +0.0, as the matrix product gives."""
+    signs = signs or {}
+    s = np.repeat(np.eye(2 * m_modes)[None], batch, axis=0)
+    for i, g in enumerate(gates):
+        _apply_gate_rows(s, g, m_modes, signs.get(i))
+    return s + 0.0
 
 
 def circuit_symplectic(circuit: Circuit) -> SymplecticRep:
-    """The product of the gates' symplectic matrices, last gate leftmost,
-    built by row operations on one tableau.  Every zero is +0.0, as the
-    matrix product gives."""
+    """The product of the gates' symplectic matrices, last gate leftmost:
+    the stack of one of :func:`_tableau_stack`."""
     m = circuit.mode_count
-    s = np.eye(2 * m)
-    for g in circuit.gates:
-        _apply_gate_rows(s, g, m)
-    return SymplecticRep(m, s + 0.0)
+    return SymplecticRep(m, _tableau_stack(m, circuit.gates)[0])
 
 
 def weyl_phase_form(circuit: Circuit) -> np.ndarray:
@@ -162,12 +178,12 @@ def weyl_phase_form(circuit: Circuit) -> np.ndarray:
     vector it meets.
     """
     m = circuit.mode_count
-    s = np.eye(2 * m, dtype=np.int64)
+    s = np.eye(2 * m, dtype=np.int64)[None]
     q = np.zeros((2 * m, 2 * m), dtype=np.int64)
     for g in circuit.gates:
         if g.kind in ("F", "Finv"):
             (k,) = g.modes
-            q -= np.outer(s[k], s[m + k])
+            q -= np.outer(s[0, k], s[0, m + k])
         _apply_gate_rows(s, g, m)
     return q
 
@@ -207,51 +223,95 @@ def measurement_basis(nullifiers: Sequence[Nullifier], m_modes: int) -> list[Nul
     accumulated into a single ancilla with Sum gates, which is what the
     syndrome circuits need.  The search scans the integer combinations of the
     raw rows with coefficients in [-2, 2], in chunks of ``_SCAN_CHUNK``
-    combinations (one chunk for up to six rows).  Friendly rows are
+    combinations (one chunk for up to four rows).  Friendly rows are
     sign-normalized (a flipped row keeps -0.0 zeros), deduplicated on their
     base-3 digits keeping the first occurrence, ranked position-only first,
     then by L1 weight, then lexicographically, and picked greedily: a row
     stays when it is independent of the rows kept before it
     (:func:`_greedy_independent`).  Raises if no spanning friendly basis
     exists.
+
+    This is the stack of one of :func:`_measurement_bases`, which scores a
+    stack of codes with the same mode count in shared array passes.
     """
     k = len(nullifiers)
-    rows = _friendly_rows(np.array([n.as_array() for n in nullifiers]).reshape(k, 2 * m_modes),
-                          m_modes)
-    picked = _greedy_independent(rows, k)
-    if len(picked) != k:
+    raw = np.array([n.as_array() for n in nullifiers]).reshape(1, k, 2 * m_modes)
+    (basis,) = _measurement_bases(raw, m_modes)
+    if basis is None:
         raise ValueError("no measurement-friendly nullifier basis found")
-    return [Nullifier(tuple(rows[i])) for i in picked]
+    return [Nullifier(tuple(row)) for row in basis]
 
 
-def _friendly_rows(raw: np.ndarray, m_modes: int) -> np.ndarray:
-    """The sign-normalized, deduplicated, ranked friendly combinations of the
-    (K, 2M) ``raw`` rows that :func:`measurement_basis` picks from."""
-    k = len(raw)
+def _measurement_bases(raw: np.ndarray, m_modes: int) -> list[np.ndarray | None]:
+    """Per code of the (B, K, 2M) stack ``raw``, the (K, 2M) basis that
+    :func:`measurement_basis` picks, or None where no friendly rows span."""
+    k = raw.shape[1]
+    bases: list[np.ndarray | None] = []
+    for rows in _friendly_rows(raw, m_modes):
+        picked = _greedy_independent(rows, k)
+        bases.append(rows[picked] if len(picked) == k else None)
+    return bases
+
+
+def _friendly_rows(raw: np.ndarray, m_modes: int) -> list[np.ndarray]:
+    """Per code of the (B, K, 2M) stack ``raw``, the sign-normalized,
+    deduplicated, ranked friendly combinations of its rows that
+    :func:`measurement_basis` picks from.
+
+    A pass is one ``(n 2M, K) @ (K, C)`` matmul over n whole codes, or over a
+    slice of one code's C = 5^K - 1 combinations when they alone exceed
+    ``_SCAN_CHUNK``, so no pass holds more than ``_SCAN_CHUNK`` (code,
+    combination) columns.  The rows of each group of codes are deduplicated
+    by one ``np.unique`` of their base-3 keys offset by the code's index and
+    ranked by one ``lexsort`` whose most major key is that index.
+    """
+    b, k, two_m = raw.shape
+    if k == 0:
+        return [np.zeros((0, two_m))] * b
     # column i holds the base-5 digits of i, less 2; the all-zero column goes
     combos = np.indices((5,) * k, dtype=np.int8).reshape(k, 5**k) - 2
     combos = np.delete(combos, 5**k // 2, axis=1)
-    found = []
-    for start in range(0, combos.shape[1], _SCAN_CHUNK):
-        # one column per combination, so the per-row tests reduce over axis 0
-        cols = raw.T @ combos[:, start:start + _SCAN_CHUNK].astype(float)
-        nonzero = np.abs(cols) > 1e-9
-        cols[~nonzero] = 0.0
-        mixed = np.any(nonzero[:m_modes] & nonzero[m_modes:], axis=0)
-        unit = np.all(~nonzero | (np.abs(np.abs(cols) - 1.0) < 1e-9), axis=0)
-        rows, nonzero = cols[:, ~mixed & unit].T, nonzero[:, ~mixed & unit].T
-        flip = rows[np.arange(len(rows)), np.argmax(nonzero, axis=1)] < 0
-        rows[flip] = -rows[flip]
-        found.append(np.round(rows))
-    candidates = np.concatenate(found)
-    # the digits are -1, 0, +1, so -0.0 and 0.0 share a key
-    key = (candidates.astype(np.int64) + 1) @ 3 ** np.arange(2 * m_modes, dtype=np.int64)
-    _, first_seen = np.unique(key, return_index=True)
-    uniq = candidates[first_seen]
-    # lexsort keys run from minor to major
-    weight = np.sum(np.abs(uniq), axis=1)
-    has_p = np.any(uniq[:, m_modes:] != 0, axis=1)
-    return uniq[np.lexsort(tuple(uniq[:, ::-1].T) + (weight, has_p))]
+    c = combos.shape[1]
+    per_pass, width = max(1, _SCAN_CHUNK // c), min(c, _SCAN_CHUNK)
+    digits = 3 ** np.arange(two_m, dtype=np.int64)
+    ranked: list[np.ndarray] = []
+    for b0 in range(0, b, per_pass):
+        group = raw[b0:b0 + per_pass]
+        n = len(group)
+        block = group.transpose(0, 2, 1).reshape(n * two_m, k)
+        found, owner = [], []
+        for start in range(0, c, width):
+            # one column per combination, so the per-row tests reduce over axis 1;
+            # the sizes are taken in place, keeping one float array per pass
+            cols = (block @ combos[:, start:start + width].astype(float)).reshape(n, two_m, -1)
+            negative = cols < 0
+            sizes = np.abs(cols, out=cols)
+            nonzero = sizes > 1e-9
+            sizes -= 1.0
+            unit = np.all(~nonzero | (np.abs(sizes, out=sizes) < 1e-9), axis=1)
+            mixed = np.any(nonzero[:, :m_modes] & nonzero[:, m_modes:], axis=1)
+            keep = ~mixed & unit  # (n, combinations), in (code, combination) order
+            nonzero = nonzero.transpose(0, 2, 1)[keep]
+            negative = negative.transpose(0, 2, 1)[keep]
+            # a kept entry is within 1e-9 of -1, 0 or +1, which it rounds to
+            rows = np.where(nonzero, np.where(negative, -1.0, 1.0), 0.0)
+            flip = negative[np.arange(len(rows)), np.argmax(nonzero, axis=1)]
+            rows[flip] = -rows[flip]
+            found.append(rows)
+            owner.append(np.nonzero(keep)[0])
+        rows, owner = np.concatenate(found), np.concatenate(owner)
+        # the digits are -1, 0, +1, so -0.0 and 0.0 share a key; a code's
+        # keys stay below 3^2M, so the offset keeps codes apart
+        key = (rows.astype(np.int64) + 1) @ digits + owner * 3 ** two_m
+        _, first_seen = np.unique(key, return_index=True)
+        uniq, owner = rows[first_seen], owner[first_seen]
+        # lexsort keys run from minor to major
+        weight = np.sum(np.abs(uniq), axis=1)
+        has_p = np.any(uniq[:, m_modes:] != 0, axis=1)
+        order = np.lexsort(tuple(uniq[:, ::-1].T) + (weight, has_p, owner))
+        counts = np.bincount(owner, minlength=n)
+        ranked.extend(np.split(uniq[order], np.cumsum(counts)[:-1]))
+    return ranked
 
 
 def _greedy_independent(rows: np.ndarray, k: int) -> list[int]:
@@ -329,11 +389,26 @@ def check_correctability(code: "CodeSpec", error_class: str = "full") -> Correct
     class restricts displacements to position shifts, momentum kicks, or both.
     The M mode blocks go through one stacked SVD and the M(M-1)/2 pair blocks
     through another.
+
+    This is the stack of one of :func:`_correctability_reports`, which checks
+    a stack of codes with the same mode count in those same two SVD calls.
     """
+    (report,) = _correctability_reports(code.syndrome_matrix()[None], code.mode_count,
+                                        error_class)
+    return report
+
+
+def _correctability_reports(
+    syn: np.ndarray, m_modes: int, error_class: str = "full"
+) -> list[CorrectabilityReport]:
+    """:func:`check_correctability` of every code of the (B, K, 2M) stack of
+    syndrome matrices ``syn``: all B M mode blocks go through one stacked SVD
+    and all B M(M-1)/2 pair blocks through another."""
     if error_class not in ERROR_CLASSES:
         raise ValueError(f"error_class must be one of {ERROR_CLASSES}")
-    syn = code.syndrome_matrix()
-    m_modes = code.mode_count
+    if m_modes < 2:
+        raise ValueError("a code needs at least two modes to check correctability")
+    b, k = syn.shape[:2]
     modes = np.arange(m_modes)
     cols = {
         "full": np.stack([modes, m_modes + modes], axis=1),
@@ -341,22 +416,28 @@ def check_correctability(code: "CodeSpec", error_class: str = "full") -> Correct
         "momentum": m_modes + modes[:, None],
     }[error_class]
     pairs = list(itertools.combinations(range(m_modes), 2))
-    j, k = np.array(pairs).T
-    # syn[:, cols] is (rows, blocks, columns); the SVD stacks over the leading axis
-    _, mode_ok = _min_needed_singular(syn[:, cols].transpose(1, 0, 2))
-    pair_min, pair_ok = _min_needed_singular(
-        syn[:, np.concatenate([cols[j], cols[k]], axis=1)].transpose(1, 0, 2)
-    )
-    report = CorrectabilityReport(m_modes, error_class, mode_ok.tolist(), {}, {})
-    for m, ok in enumerate(report.mode_injective):
-        if not ok:
-            report.failures.append(f"mode {m}: {error_class} displacements not injective")
-    for pair, min_sv, ok in zip(pairs, pair_min.tolist(), pair_ok.tolist()):
-        report.pair_min_singular[pair] = min_sv
-        report.pair_ok[pair] = ok
-        if not ok:
-            report.failures.append(f"pair ({pair[0]},{pair[1]}): images intersect beyond zero")
-    return report
+    j, t = np.array(pairs).T
+
+    def blocks(columns: np.ndarray) -> np.ndarray:
+        # syn[:, :, columns] is (codes, rows, blocks, columns); the SVD stacks
+        # over the leading axis of the (codes x blocks, rows, columns) result
+        picked = syn[:, :, columns].transpose(0, 2, 1, 3)
+        return picked.reshape(b * len(columns), k, columns.shape[1])
+
+    _, mode_ok = _min_needed_singular(blocks(cols))
+    pair_min, pair_ok = _min_needed_singular(blocks(np.concatenate([cols[j], cols[t]], axis=1)))
+    reports = []
+    for injective, mins, oks in zip(mode_ok.reshape(b, -1).tolist(),
+                                    pair_min.reshape(b, -1).tolist(),
+                                    pair_ok.reshape(b, -1).tolist()):
+        report = CorrectabilityReport(m_modes, error_class, injective, dict(zip(pairs, mins)),
+                                      dict(zip(pairs, oks)))
+        report.failures.extend(f"mode {m}: {error_class} displacements not injective"
+                               for m, ok in enumerate(injective) if not ok)
+        report.failures.extend(f"pair ({p[0]},{p[1]}): images intersect beyond zero"
+                               for p, ok in zip(pairs, oks) if not ok)
+        reports.append(report)
+    return reports
 
 
 def _min_needed_singular(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -446,7 +527,8 @@ class _StackDecoder:
     operators I - A A^+, with lstsq's singular-value cutoff.  They reach the
     syndromes through elementwise multiply-adds over K, so row t has the same
     bits in any stack.  Candidates rank by (residual, mode); only rows with a
-    rival inside the tie window run the harmless check, one by one.
+    rival inside the tie window run the harmless check, one by one, and when
+    every rival is harmless the lowest of those modes wins.
     """
 
     def __init__(
@@ -497,6 +579,12 @@ class _StackDecoder:
                 rival[t] = self._first_harmful(res[t], fit[t, :, :2], best[t], tied[t])
                 if rival[t] >= 0:
                     failure[t] = _AMBIGUOUS
+                else:
+                    # every rival is an equivalent correction: the lowest mode
+                    # wins (the modes ascend), whatever the rounding ranked first
+                    c = np.flatnonzero(tied[t])[0]
+                    if self.modes[c] < mode[t]:
+                        mode[t], shift[t] = self.modes[c], fit[t, c, :2]
         if zero.any():
             mode[zero], shift[zero] = 0, 0.0
         return _DecodedStack(mode, shift, best_res, failure, rival)

@@ -61,6 +61,9 @@ from .grid import (
     reduced_density,
 )
 from .symplectic import (
+    _AMBIGUOUS,
+    _DECODED,
+    _UNRECOGNIZED,
     DecodeError,
     DisplacementError,
     _DecodedStack,
@@ -536,12 +539,23 @@ def _decoded_lines(
 
 @dataclass
 class QecCycleReport:
+    """One cycle's fidelities, decode and record.
+
+    ``decode_outcome`` is ``applied``, ``zero_correction``, ``unrecognized``
+    or ``ambiguous``: the decode's failure class, else whether its whole-step
+    correction moved anything.  :func:`run_qec_cycle` decodes as
+    :func:`correct` does by default, with an unbounded residual tolerance, so
+    no record is too far from its best fit and ``unrecognized`` cannot occur
+    there.  The field defaults to None for reports built without one.
+    """
+
     pre_error_fidelity: float
     post_correction_fidelity: float
     logical_fidelity: float
     inferred_error: DisplacementError | None
     syndrome: SyndromeRecord
     correction_applied: bool
+    decode_outcome: str | None = None
 
     def __post_init__(self) -> None:
         for f in (self.pre_error_fidelity, self.post_correction_fidelity):
@@ -561,6 +575,7 @@ class QecCycleReport:
                 "inferred_error": inferred,
                 "correction_applied": self.correction_applied,
                 "syndrome": json.loads(self.syndrome.to_json()),
+                "decode_outcome": self.decode_outcome,
             },
             indent=2,
         )
@@ -612,7 +627,8 @@ _TRIAL_CHUNK = 4096
 class _TrialBatch:
     """One chunk of frame trials as arrays, row i the i-th trial: both
     fidelities, the drawn outcome's true and reported form values, the
-    decode (mode, (e_x, e_p), failed) and whether a correction was applied."""
+    decode (mode, (e_x, e_p), ``_DecodedStack.failure``) and whether a
+    correction was applied."""
 
     post: np.ndarray
     logical: np.ndarray
@@ -620,20 +636,25 @@ class _TrialBatch:
     reported: np.ndarray
     mode: np.ndarray
     shift: np.ndarray
-    failed: np.ndarray
+    failure: np.ndarray
     applied: np.ndarray
     forms: np.ndarray
 
-    def row(self, i: int) -> tuple[float, float, DisplacementError | None, SyndromeRecord, bool]:
+    def row(
+        self, i: int
+    ) -> tuple[float, float, DisplacementError | None, SyndromeRecord, bool, str]:
         """(post-correction fidelity, logical fidelity, inferred error,
-        record, correction applied) of trial ``i``."""
+        record, correction applied, decode outcome) of trial ``i``."""
         err = None
-        if not self.failed[i]:
+        if self.failure[i] == _DECODED:
             err = DisplacementError(int(self.mode[i]), float(self.shift[i, 0]),
                                     float(self.shift[i, 1]))
         record = SyndromeRecord(self.true_values[i], self.reported[i],
                                 tuple(range(len(self.forms))), self.forms)
-        return float(self.post[i]), float(self.logical[i]), err, record, bool(self.applied[i])
+        outcome = {_UNRECOGNIZED: "unrecognized", _AMBIGUOUS: "ambiguous"}.get(
+            int(self.failure[i]), "applied" if self.applied[i] else "zero_correction")
+        return (float(self.post[i]), float(self.logical[i]), err, record,
+                bool(self.applied[i]), outcome)
 
 
 class _OutcomeTable:
@@ -676,9 +697,10 @@ class _OutcomeTable:
 
     def trial(
         self, model: MeasurementModel, rng: np.random.Generator
-    ) -> tuple[float, float, DisplacementError | None, SyndromeRecord, bool]:
+    ) -> tuple[float, float, DisplacementError | None, SyndromeRecord, bool, str]:
         """(post-correction fidelity, logical fidelity, inferred error,
-        record, correction applied) of one trial: a batch of one."""
+        record, correction applied, decode outcome) of one trial: a batch of
+        one."""
         return next(self.trials(model, [rng])).row(0)
 
     def trials(
@@ -719,9 +741,8 @@ class _OutcomeTable:
     ) -> _TrialBatch:
         """The chunk's corrections, in whole grid steps (:func:`_grid_steps`),
         and the fidelities of each distinct (tuple, correction) pair."""
-        failed = decoded.failure != 0
         step_x, step_p, moves = _grid_steps(decoded.shift, self.grid.dx)
-        applied = ~failed & moves
+        applied = (decoded.failure == _DECODED) & moves
         fids = []
         for t, apply, mode, sx, sp in zip(outcome.tolist(), applied.tolist(),
                                           decoded.mode.tolist(), step_x.tolist(),
@@ -733,7 +754,7 @@ class _OutcomeTable:
             fids.append(f)
         post, logical = np.array(fids).reshape(-1, 2).T
         return _TrialBatch(post, logical, true_values, reported, decoded.mode, decoded.shift,
-                           failed, applied, self.plan.forms)
+                           decoded.failure, applied, self.plan.forms)
 
     def _corrected_fidelities(
         self, t: int, mode: int | None = None, step_x: int = 0, step_p: int = 0

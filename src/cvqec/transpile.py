@@ -7,7 +7,7 @@ translator enumerates it: XORs whose target is a fresh zero-position ancilla
 are fixed to Sum, and every remaining XOR contributes one free bit.  Each
 candidate assignment is scored at symplectic cost by the
 displacement-correctability check of
-:func:`cvqec.symplectic.check_correctability`.
+:func:`cvqec.symplectic.check_correctability`, all candidates as one stack.
 
 Every candidate is also parity covariant, without a grid run: global parity
 (j -> -j mod N on every mode, x -> -x) commutes with every gate of the set.
@@ -33,7 +33,12 @@ import numpy as np
 from .codes import CodeSpec, encode, parity_permute
 from .gates import Circuit, Gate
 from .grid import GridSpec, fidelity
-from .symplectic import CorrectabilityReport, check_correctability
+from .symplectic import (
+    CorrectabilityReport,
+    _correctability_reports,
+    _measurement_bases,
+    _tableau_stack,
+)
 
 QUBIT_GATE_KINDS = ("H", "Hinv", "XOR")
 
@@ -178,7 +183,8 @@ class AssignmentVerdict:
 
 def candidate_code(qc: QubitCircuit, assignment: Sequence[bool]) -> CodeSpec:
     """CodeSpec for one substitution candidate (nullifiers kept in raw form if
-    no measurement-friendly basis exists)."""
+    no measurement-friendly basis exists): the one-candidate route that the
+    stacked enumeration reproduces bit for bit."""
     return CodeSpec.from_encoder("candidate", substitute(qc, assignment))
 
 
@@ -204,18 +210,52 @@ def enumerate_valid_assignments(
     candidate, as the gate set guarantees (see the module docstring), so no
     candidate is encoded on a grid; ``grid_n`` is accepted and ignored.
     Deterministic: candidates are emitted in lexicographic bit order (False =
-    Sum first)."""
-    xors = qc.xor_indices()
-    fixed = set(first_layer_xor_indices(qc))
-    free = [i for i in xors if i not in fixed]
+    Sum first).
+
+    The candidates are scored as one stack (:func:`_candidate_stack`), each
+    exactly as :func:`~cvqec.symplectic.check_correctability` scores
+    :func:`candidate_code` alone, with two stacked SVD calls for all of them.
+    """
+    assignments, _, syn = _candidate_stack(qc)
     verdicts = []
-    for bits in itertools.product((False, True), repeat=len(free)):
-        by_index = dict(zip(free, bits))
-        assignment = tuple(by_index.get(i, False) for i in xors)
-        report = check_correctability(candidate_code(qc, assignment))
+    for assignment, report in zip(assignments, _correctability_reports(syn, qc.qubit_count)):
         degenerate = not any(report.mode_injective)
         verdicts.append(AssignmentVerdict(assignment, report, True, degenerate))
     return verdicts
+
+
+def _candidate_stack(
+    qc: QubitCircuit,
+) -> tuple[list[tuple[bool, ...]], np.ndarray, np.ndarray]:
+    """The enumeration's candidates in order, the (B, 2M, 2M) stack of their
+    encoders' S^-1 and the (B, M - 1, 2M) stack of their syndrome matrices,
+    without building any candidate's circuit or code.
+
+    The candidates differ only in which free XORs become SumInv, so one walk
+    over the inverse gate list gives every S^-1, each free XOR's sign a
+    column.  One stacked scan then finds every measurement basis; a
+    candidate without one keeps its raw ancilla rows, as
+    :meth:`~cvqec.codes.CodeSpec.from_encoder` does.
+    """
+    xors = qc.xor_indices()
+    fixed = set(first_layer_xor_indices(qc))
+    free = [i for i in xors if i not in fixed]
+    bits = np.array(list(itertools.product((False, True), repeat=len(free))), dtype=bool)
+    bits = bits.reshape(2 ** len(free), len(free))
+    m, last = qc.qubit_count, len(qc.gates) - 1
+    # the inverse of the all-Sum circuit: gate i of qc is its gate last - i,
+    # and a free XOR's inverse is Sum (+1) where the candidate takes SumInv
+    inverse = substitute(qc, [False] * len(xors)).inverse()
+    signs = {last - i: np.where(bits[:, [col]], 1.0, -1.0) for col, i in enumerate(free)}
+    images = _tableau_stack(m, inverse.gates, signs, len(bits))
+    raw = images[:, 1:m, :]  # the ancillae's position rows
+    bases = _measurement_bases(raw, m)
+    syn = np.stack([r if basis is None else basis for r, basis in zip(raw, bases)])
+    assignments = []
+    for row in bits.tolist():
+        by_index = dict(zip(free, row))
+        assignments.append(tuple(by_index.get(i, False) for i in xors))
+    return assignments, images, syn
 
 
 def emit_cv_circuit(qc: QubitCircuit, assignment: Sequence[bool]) -> str:

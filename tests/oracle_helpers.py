@@ -6,6 +6,7 @@ never from the package's fast paths, so agreement is a real two-route check.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -22,6 +23,13 @@ def dense_fourier(n: int) -> np.ndarray:
     """U[j, k] = (dx / sqrt(pi)) * exp(2i x_j x_k), the defining kernel."""
     x = x_values(n)
     return (dx_of(n) / np.sqrt(np.pi)) * np.exp(2j * np.outer(x, x))
+
+
+def phase_table_fourier(n: int) -> np.ndarray:
+    """The Fourier kernel from its integer phase table, one complex
+    exponential per entry: exp(2 pi i ((j - N/2)(k - N/2) mod N) / N) / sqrt(N)."""
+    j = np.arange(n) - n // 2
+    return np.exp((2j * np.pi / n) * (np.outer(j, j) % n)) / math.sqrt(n)
 
 
 def dense_sum(n: int, inverse: bool = False) -> np.ndarray:
@@ -242,19 +250,21 @@ def circuit_from_steps(m: int, steps):
 
 
 def trial_fields(trial) -> tuple:
-    """A frame trial's (post, logical, inferred error, record, applied) with
-    the record's arrays as bytes, so ``==`` compares every field exactly."""
-    post, logical, inferred, record, applied = trial
+    """A frame trial's (post, logical, inferred error, record, applied,
+    decode outcome) with the record's arrays as bytes, so ``==`` compares
+    every field exactly."""
+    post, logical, inferred, record, applied, outcome = trial
     return (post, logical, inferred, record.true_values.tobytes(),
             record.reported_values.tobytes(), record.nullifier_ids, record.forms.tobytes(),
-            applied)
+            applied, outcome)
 
 
 def lstsq_decode(code, syndrome, forms=None, modes=None, residual_tol=None):
     """Reference for ``symplectic.decode_syndrome``: one ``np.linalg.lstsq``
     per candidate mode, ranked by (residual, mode), then the tie window and
-    the harmless check in that order.  Returns the DisplacementError or
-    raises the DecodeError the decoder raises."""
+    the harmless check in that order; when every tied rival is harmless the
+    lowest mode among them and the best wins.  Returns the DisplacementError
+    or raises the DecodeError the decoder raises."""
     from cvqec.symplectic import (
         AmbiguousSyndromeError,
         DisplacementError,
@@ -285,6 +295,7 @@ def lstsq_decode(code, syndrome, forms=None, modes=None, residual_tol=None):
         )
     tie_window = 1e-9 * max(scale, 1.0)
     syn = code.syndrome_matrix()
+    equivalent = [best]
     for res, cand in matches[1:]:
         if res > best_res + tie_window or cand.mode == best.mode:
             continue
@@ -297,7 +308,9 @@ def lstsq_decode(code, syndrome, forms=None, modes=None, residual_tol=None):
             raise AmbiguousSyndromeError(
                 f"modes {best.mode} and {cand.mode} both match the syndrome"
             )
-    return best
+        equivalent.append(cand)
+    # equivalent corrections all: the lowest mode wins
+    return min(equivalent, key=lambda e: e.mode)
 
 
 def rolled_decoherence_prediction(psi, p):

@@ -70,6 +70,20 @@ def test_cycle_reports_fidelity(capsys):
     assert payload["post_correction_fidelity"] >= 1 - 1e-9
 
 
+def test_cycle_json_adds_the_decode_outcome_to_its_keys(capsys):
+    assert run_cli(["cycle", "--code", "braunstein5", "--grid-n", "8",
+                    "--mode", "2", "--shift", "2", "--seed", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["pre_error_fidelity", "post_correction_fidelity",
+                             "logical_fidelity", "inferred_error", "correction_applied",
+                             "syndrome", "decode_outcome"]
+    assert payload["decode_outcome"] == "applied" and payload["correction_applied"] is True
+    assert run_cli(["cycle", "--code", "braunstein5", "--grid-n", "8", "--seed", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["decode_outcome"] == "zero_correction"
+    assert payload["correction_applied"] is False
+
+
 def test_cycle_five_modes_at_standard_grid(capsys):
     # the standard five-mode operating point (N = 16, about 1M amplitudes)
     # runs end to end well inside the time budget

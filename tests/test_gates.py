@@ -15,7 +15,7 @@ from cvqec import (
     sum_gate,
     sum_inv,
 )
-from oracle_helpers import dense_fourier, dense_gate, dense_sum, random_state
+from oracle_helpers import dense_fourier, dense_gate, dense_sum, phase_table_fourier, random_state
 
 
 def as_state(vec, n, m):
@@ -92,6 +92,14 @@ def test_fourier_matrix_is_the_defining_kernel(n):
     assert np.max(np.abs(u - dense_fourier(n))) < 1e-13
     assert np.array_equal(u, u.T)
     assert np.max(np.abs(u @ u.conj() - np.eye(n))) < 1e-13
+
+
+def test_fourier_matrix_gathers_the_bytes_of_one_exponential_per_entry():
+    # the N roots are evaluated once and gathered by the integer phase table
+    from cvqec.grid import fourier_matrix
+
+    for n in list(range(2, 129, 2)) + [256, 512, 1024, 2048]:
+        assert fourier_matrix(n).tobytes() == phase_table_fourier(n).tobytes(), n
 
 
 def test_dense_fourier_is_unitary_and_self_consistent():

@@ -348,6 +348,60 @@ def test_decode_harmless_tie_resolves_to_lowest_mode():
     assert err.e_p == pytest.approx(1.0)
 
 
+def test_decode_tie_outside_the_damaged_mode_picks_the_lowest_mode():
+    # modes 7 and 8 both fit a kick on mode 6 exactly; rounding used to pick 8
+    code = build_shor9()
+    s = code.syndrome_matrix() @ DisplacementError(6, 0.0, 1.0).embed(9)
+    err = decode_syndrome(code, s, modes=[7, 8])
+    assert err.mode == 7
+    assert err.e_p == pytest.approx(1.0)
+    decoded = symplectic_module._StackDecoder(code, code.syndrome_matrix(), [8, 7],
+                                              None).decode(np.stack([s, s]))
+    assert decoded.mode.tolist() == [7, 7]
+
+
+def test_decode_ties_inside_every_shor9_triple_pick_the_lowest_mode():
+    """A momentum kick on any mode of a triple has one syndrome, so with the
+    decode modes any pair of that triple both fit it exactly; the lower mode
+    of the pair wins, alone and stacked, with its own (e_x, e_p)."""
+    code = build_shor9()
+    syn = code.syndrome_matrix()
+    kicks = (1.0, -1.0, 0.37, 2.5, -3.25)
+    for triple in ((0, 1, 2), (3, 4, 5), (6, 7, 8)):
+        stack = np.array([syn @ DisplacementError(m, 0.0, kick).embed(9)
+                          for m in triple for kick in kicks])
+        for low, high in itertools.combinations(triple, 2):
+            for modes in ([low, high], [high, low]):
+                decoder = symplectic_module._StackDecoder(code, syn, modes, None)
+                together = decoder.decode(stack)
+                assert together.mode.tolist() == [low] * len(stack)
+                assert (together.failure == 0).all()
+                for t, s in enumerate(stack):
+                    alone = decode_syndrome(code, s, modes=modes)
+                    assert alone == together.error(t)
+                    assert alone.e_p == pytest.approx(kicks[t % len(kicks)])
+        # with every mode a candidate the triple's lowest mode wins
+        got = {decode_syndrome(code, s).mode for s in stack}
+        assert got == {triple[0]}
+
+
+def test_decode_harmless_ties_of_a_drawn_code_pick_the_lowest_mode():
+    # modes 1 and 2 of this drawn code fit the same syndromes with equivalent
+    # corrections; the stacked decoder's rounding used to rank mode 2 first
+    steps = [("SumInv", 1, 2), ("F", 0, 4), ("F", 1, 3), ("Sum", 0, 3), ("Sum", 4, 3),
+             ("F", 1, 3), ("Sum", 4, 3)]
+    code = CodeSpec.from_encoder("random", circuit_from_steps(3, steps))
+    syn = code.syndrome_matrix()
+    stack = np.array([syn @ DisplacementError(mode, a * 0.5, b * 0.5).embed(3)
+                      for mode in range(3) for a in range(-3, 4) for b in range(-3, 4)])
+    together = symplectic_module._StackDecoder(code, syn, None, float("inf")).decode(stack)
+    assert set(together.mode[49:].tolist()) == {0, 1}
+    for t, s in enumerate(stack):
+        want = lstsq_decode(code, s, residual_tol=float("inf"))
+        assert together.error(t).mode == want.mode
+        assert decode_syndrome(code, s, residual_tol=float("inf")) == together.error(t)
+
+
 def test_decode_genuine_ambiguity_raises():
     code = build_repetition3()
     forms = np.zeros((2, 6))
@@ -731,7 +785,7 @@ def test_incremental_pick_matches_the_matrix_rank_pick():
     zeros included; the scan oracle runs where 5^K is small."""
     cases = 0
     for raw, m in _basis_cases():
-        ranked = symplectic_module._friendly_rows(raw, m)
+        (ranked,) = symplectic_module._friendly_rows(raw[None], m)
         picked = symplectic_module._greedy_independent(ranked, len(raw))
         assert picked == rank_greedy_pick(ranked, len(raw))
         if len(raw) <= 5:

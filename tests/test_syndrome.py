@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
@@ -11,6 +13,8 @@ from cvqec import (
     MeasurementModel,
     MultiModeState,
     Nullifier,
+    QecCycleReport,
+    SyndromeRecord,
     apply_circuit,
     apply_displacement,
     apply_error,
@@ -329,6 +333,47 @@ def test_correct_states_why_it_applied_nothing(reason):
 # ---------------------------------------------------------------------------
 # full cycles
 # ---------------------------------------------------------------------------
+
+
+#: braunstein5 N=16 displacements (mode, shift points, kick in dx) and the
+#: decode outcome of their cycle: a fractional kick rounds to no grid step,
+#: and the wrap edge -N/2 fits two inequivalent modes
+CYCLE_OUTCOMES = {
+    (4, -2, 1.0): "applied",
+    (1, 0, 0.3): "zero_correction",
+    (2, -8, -8.0): "ambiguous",
+    (3, -8, -8.0): "ambiguous",
+}
+
+
+def test_cycle_reports_each_decode_outcome_it_can_reach():
+    """The cycle's decode outcome agrees with correct()'s verdict on the same
+    record; under the cycle's unbounded residual tolerance no record is
+    unrecognized."""
+    code, grid = build_braunstein5(), GridSpec(16, 5)
+    psi = eigenstate(16, 8)
+    reference = encode(psi, code, grid)
+    reasons = {"": "applied", "zero correction": "zero_correction"}
+    for (mode, shift, kick), want in CYCLE_OUTCOMES.items():
+        report = run_qec_cycle(psi, code, ErrorSpec.displacement(mode, shift, kick * grid.dx),
+                               MeasurementModel.exact(), np.random.default_rng(1), grid=grid,
+                               reference=reference)
+        assert report.decode_outcome == want
+        assert report.correction_applied == (want == "applied")
+        assert (report.inferred_error is None) == (want == "ambiguous")
+        assert json.loads(report.to_json())["decode_outcome"] == want
+        result = correct(reference, code, report.syndrome)
+        got = reasons.get(result.reason, "ambiguous" if "both match" in result.reason else None)
+        assert got == want
+        if want == "ambiguous":
+            assert result.reason == "modes 0 and 1 both match the syndrome"
+
+
+def test_cycle_report_built_positionally_has_no_decode_outcome():
+    record = SyndromeRecord(np.zeros(2), np.zeros(2), (0, 1), np.zeros((2, 6)))
+    report = QecCycleReport(1.0, 1.0, 1.0, None, record, False)
+    assert report.decode_outcome is None
+    assert json.loads(report.to_json())["decode_outcome"] is None
 
 
 def test_cycle_no_error_is_identity():

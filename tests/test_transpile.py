@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from cvqec import (
@@ -24,7 +24,8 @@ from cvqec import (
     parse_qubit_circuit,
     substitute,
 )
-from cvqec import codes, transpile
+from cvqec import codes, symplectic, transpile
+from cvqec.symplectic import check_correctability, encoder_images
 from cvqec.transpile import candidate_code, first_layer_xor_indices, parity_covariant
 from oracle_helpers import circuit_from_steps
 
@@ -240,3 +241,82 @@ def test_enumeration_runs_no_grid_encode(monkeypatch):
         for v in verdicts
     ]
     assert got == [{k: want[k] for k in got[0]} for want in golden["verdicts"]]
+
+
+QUBIT_GATE = hs.one_of(
+    hs.tuples(hs.sampled_from(["H", "Hinv"]), hs.integers(0, 5)),
+    hs.tuples(hs.just("XOR"), hs.integers(0, 5), hs.integers(1, 5)),
+)
+
+
+def _qubit_circuit(n: int, draws) -> QubitCircuit:
+    """A circuit on ``n`` qubits from (kind, first[, offset]) draws, at most
+    ten of them XORs: one-qubit gates act on ``first mod n``, an XOR targets
+    a distinct qubit chosen by ``offset``."""
+    gates, xors = [], 0
+    for kind, first, *offset in draws:
+        first %= n
+        if kind != "XOR":
+            gates.append(QubitGate(kind, (first,)))
+        elif xors < 10:
+            xors += 1
+            gates.append(QubitGate("XOR", (first, (first + 1 + (offset[0] - 1) % (n - 1)) % n)))
+    return QubitCircuit(n, tuple(gates))
+
+
+#: H on every qubit touches them all, so every XOR after it is free
+ALL_TOUCHED = [("H", q) for q in range(6)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=hs.integers(2, 6),
+    draws=hs.lists(QUBIT_GATE, max_size=16),
+    chunk=hs.sampled_from([5**4, 150, 700, 5**6]),
+)
+# 2^5 four-mode candidates, 5 to a default pass; with 5^6-column passes,
+# 2^8 six-mode candidates 5 to a pass and 2^6 five-mode ones 25 to a pass
+@example(n=4, draws=ALL_TOUCHED + [("XOR", q, 1 + q % 3) for q in range(5)], chunk=5**4)
+@example(n=6, draws=ALL_TOUCHED + [("XOR", q, 1 + q % 3) for q in range(8)], chunk=5**6)
+@example(n=5, draws=ALL_TOUCHED + [("XOR", q, 1 + q % 2) for q in range(6)], chunk=5**6)
+@example(n=4, draws=ALL_TOUCHED + [("XOR", q, 1 + q % 3) for q in range(5)], chunk=150)
+def test_stacked_enumeration_equals_the_per_candidate_oracle(n, draws, chunk):
+    """Every verdict, S^-1 and syndrome matrix of the stacked enumeration
+    equals the per-candidate route (substitute, CodeSpec.from_encoder,
+    check_correctability) bit for bit.  The drawn pass sizes put pass edges
+    between candidates, which share a pass when their combinations fit, and
+    inside one candidate's combinations."""
+    qc = _qubit_circuit(n, draws)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symplectic, "_SCAN_CHUNK", chunk)
+        verdicts = enumerate_valid_assignments(qc)
+        assignments, images, syn = transpile._candidate_stack(qc)
+        assert [v.assignment for v in verdicts] == assignments
+        for v, image, rows in zip(verdicts, images, syn):
+            code = candidate_code(qc, v.assignment)
+            assert np.array_equal(image, encoder_images(substitute(qc, v.assignment)))
+            assert rows.tobytes() == code.syndrome_matrix().tobytes()
+            report = check_correctability(code)
+            assert v.report.to_json() == report.to_json()
+            assert {p: x.hex() for p, x in v.report.pair_min_singular.items()} == {
+                p: x.hex() for p, x in report.pair_min_singular.items()}
+            assert v.degenerate == (not any(report.mode_injective))
+            assert v.valid == (report.all_pass or v.degenerate)
+
+
+def test_stacked_enumeration_of_the_fixture_equals_the_per_candidate_oracle():
+    qc = builtin_five_qubit_circuit()
+    assignments, images, syn = transpile._candidate_stack(qc)
+    assert len(assignments) == 16
+    for assignment, image, rows, v in zip(assignments, images, syn,
+                                          enumerate_valid_assignments(qc)):
+        code = candidate_code(qc, assignment)
+        assert np.array_equal(image, encoder_images(substitute(qc, assignment)))
+        assert rows.tobytes() == code.syndrome_matrix().tobytes()
+        assert v.report.to_json() == check_correctability(code).to_json()
+
+
+def test_one_qubit_circuit_is_refused_with_a_message():
+    qc = QubitCircuit(1, (QubitGate("H", (0,)),))
+    with pytest.raises(ValueError, match="at least two modes"):
+        enumerate_valid_assignments(qc)
