@@ -15,7 +15,7 @@ import numpy as np
 from . import experiments
 from .codes import UnsupportedCodeError, encode, get_code
 from .gates import Circuit
-from .grid import GridError, GridSpec, fidelity, kernel_variance, load_state, save_state
+from .grid import GridError, GridSpec, fidelity, load_state, save_state
 from .syndrome import (
     ErrorSpec,
     MeasurementModel,
@@ -48,13 +48,13 @@ def _model_from_args(args: argparse.Namespace) -> MeasurementModel:
 
 
 def _error_from_args(args: argparse.Namespace, dx: float) -> ErrorSpec:
-    """``--kernel-width`` (overriding ``--shift``/``--kick``) in units of dx;
-    a width without a finite nonzero square is refused as typed."""
+    """``--kernel-width`` (overriding ``--shift``/``--kick``) in units of dx,
+    read as the equivalent sweep-config error spec, so both are checked alike."""
     if args.kernel_width is not None:
-        error = ErrorSpec.convolution(args.mode, args.kernel_width * dx)
-        kernel_variance(args.kernel_width, dx)
-        return error
-    return ErrorSpec.displacement(args.mode, args.shift, args.kick * dx)
+        spec = {"kind": "convolution", "mode": args.mode, "kernel_width": args.kernel_width}
+    else:
+        spec = {"kind": "displacement", "mode": args.mode, "shift": args.shift, "kick": args.kick}
+    return experiments.error_from_config(spec, dx)
 
 
 def _logical_input(args: argparse.Namespace) -> np.ndarray:

@@ -30,9 +30,9 @@ from .gates import Circuit, apply_circuit, fourier, sum_gate, sum_inv
 from .grid import GridError, GridSpec, MultiModeState, make_product_state, state_from_wavefunctions
 from .symplectic import (
     Nullifier,
+    _measurement_bases,
     ancilla_images,
     encoder_images,
-    measurement_basis,
     syndrome_matrix,
 )
 
@@ -79,14 +79,13 @@ class CodeSpec:
         zero-position ancilla, nullifiers the encoder images of the ancilla
         positions.  The syndrome circuits measure the equivalent
         :func:`~cvqec.symplectic.measurement_basis`; when none exists the raw
-        images are kept, which the rank-based checks accept as they are."""
+        images are kept, which the rank-based checks accept as they are.  A
+        scan too large to run raises :class:`~cvqec.grid.GridError`."""
         m = encoder.mode_count
         ancillae = tuple(range(1, m))
         raw = tuple(ancilla_images(encoder, ancillae))
-        try:
-            nullifiers = tuple(measurement_basis(raw, m))
-        except ValueError:
-            nullifiers = raw
+        (basis,) = _measurement_bases(syndrome_matrix(raw).reshape(1, m - 1, 2 * m), m)
+        nullifiers = raw if basis is None else tuple(Nullifier(tuple(row)) for row in basis)
         counts = encoder.gate_counts()
         return cls(
             name=name,

@@ -86,6 +86,8 @@ class Circuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        if self.mode_count < 1:
+            raise CircuitError(f"mode_count must be >= 1, got {self.mode_count}")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if max(g.modes) >= self.mode_count:

@@ -258,12 +258,24 @@ def apply_displacement(
     if shift:
         tensor = np.roll(tensor, shift, axis=mode)
     if momentum_kick != 0.0:
-        phase = np.exp(2j * momentum_kick * state.grid.x_values())
+        phase = kick_phase(state.grid, momentum_kick)
         if shift:
             tensor *= _along_axis(np.roll(phase, shift), mode, ndim)
         else:
             tensor = tensor * _along_axis(phase, mode, ndim)
     return MultiModeState(state.grid, np.ascontiguousarray(tensor))
+
+
+def kick_phase(grid: GridSpec, momentum_kick: float) -> np.ndarray:
+    """The phase vector exp(2i * q * x_j) of a momentum kick q on the grid,
+    refused (GridError, naming q, also in units of dx) when it is not finite,
+    as for a kick so large that 2 q x_j overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.exp(2j * momentum_kick * grid.x_values())
+    if not np.isfinite(phase).all():
+        raise GridError(f"momentum kick {momentum_kick} ({momentum_kick / grid.dx:g} dx) "
+                        "has no finite phase on the grid")
+    return phase
 
 
 def apply_kernel_convolution(

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .gates import Circuit, Gate
+from .grid import MAX_AMPLITUDES, GridError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .codes import CodeSpec
@@ -222,14 +223,15 @@ def measurement_basis(nullifiers: Sequence[Nullifier], m_modes: int) -> list[Nul
     Such rows are diagonalizable by per-mode Fourier rotations and can be
     accumulated into a single ancilla with Sum gates, which is what the
     syndrome circuits need.  The search scans the integer combinations of the
-    raw rows with coefficients in [-2, 2], in chunks of ``_SCAN_CHUNK``
+    raw rows with coefficients in [-2, 2] whose leading nonzero coefficient
+    is negative (one of each pair c, -c), in chunks of ``_SCAN_CHUNK``
     combinations (one chunk for up to four rows).  Friendly rows are
-    sign-normalized (a flipped row keeps -0.0 zeros), deduplicated on their
-    base-3 digits keeping the first occurrence, ranked position-only first,
-    then by L1 weight, then lexicographically, and picked greedily: a row
-    stays when it is independent of the rows kept before it
-    (:func:`_greedy_independent`).  Raises if no spanning friendly basis
-    exists.
+    sign-normalized (a flipped row keeps -0.0 zeros), ranked stably
+    position-only first, then by L1 weight, then lexicographically, and
+    picked greedily: a row stays when it is independent of the rows kept
+    before it (:func:`_greedy_independent`), so of a row found twice the
+    first occurrence is kept.  Raises ValueError if no spanning friendly
+    basis exists, and GridError for more than eleven rows.
 
     This is the stack of one of :func:`_measurement_bases`, which scores a
     stack of codes with the same mode count in shared array passes.
@@ -254,26 +256,33 @@ def _measurement_bases(raw: np.ndarray, m_modes: int) -> list[np.ndarray | None]
 
 
 def _friendly_rows(raw: np.ndarray, m_modes: int) -> list[np.ndarray]:
-    """Per code of the (B, K, 2M) stack ``raw``, the sign-normalized,
-    deduplicated, ranked friendly combinations of its rows that
-    :func:`measurement_basis` picks from.
+    """Per code of the (B, K, 2M) stack ``raw``, the sign-normalized, ranked
+    friendly combinations of its rows that :func:`measurement_basis` picks
+    from.
 
-    A pass is one ``(n 2M, K) @ (K, C)`` matmul over n whole codes, or over a
-    slice of one code's C = 5^K - 1 combinations when they alone exceed
-    ``_SCAN_CHUNK``, so no pass holds more than ``_SCAN_CHUNK`` (code,
-    combination) columns.  The rows of each group of codes are deduplicated
-    by one ``np.unique`` of their base-3 keys offset by the code's index and
-    ranked by one ``lexsort`` whose most major key is that index.
+    Only the C = 5^K // 2 combinations below the all-zero column are
+    scanned, those whose leading nonzero coefficient is negative: c and -c
+    give the same sign-normalized row, and of each pair this one comes first
+    in column order.  Independent rows so give each friendly row once;
+    dependent rows may repeat one, and since the ranking is stable the
+    copies stay in column order, so the greedy pick keeps the first.  A pass
+    is one ``(n 2M, K) @ (K, C)`` matmul over n whole codes, or over a slice
+    of one code's C combinations when they alone exceed ``_SCAN_CHUNK``, so
+    no pass holds more than ``_SCAN_CHUNK`` (code, combination) columns.
+    The rows of each group of codes are ranked by one ``lexsort`` whose most
+    major key is the code's index.  A scan of more than ``MAX_AMPLITUDES``
+    combinations (K >= 12) is refused with :class:`~cvqec.grid.GridError`.
     """
     b, k, two_m = raw.shape
     if k == 0:
         return [np.zeros((0, two_m))] * b
-    # column i holds the base-5 digits of i, less 2; the all-zero column goes
-    combos = np.indices((5,) * k, dtype=np.int8).reshape(k, 5**k) - 2
-    combos = np.delete(combos, 5**k // 2, axis=1)
-    c = combos.shape[1]
+    c = 5**k // 2
+    if c > MAX_AMPLITUDES:
+        raise GridError(f"a basis scan of {k} nullifier rows needs 5^{k} // 2 = {c} "
+                        f"combinations, over the {MAX_AMPLITUDES} budget")
+    # column i holds the base-5 digits of i, less 2, for i below the all-zero column
+    combos = np.indices((5,) * k, dtype=np.int8).reshape(k, 5**k)[:, :c] - 2
     per_pass, width = max(1, _SCAN_CHUNK // c), min(c, _SCAN_CHUNK)
-    digits = 3 ** np.arange(two_m, dtype=np.int64)
     ranked: list[np.ndarray] = []
     for b0 in range(0, b, per_pass):
         group = raw[b0:b0 + per_pass]
@@ -300,17 +309,12 @@ def _friendly_rows(raw: np.ndarray, m_modes: int) -> list[np.ndarray]:
             found.append(rows)
             owner.append(np.nonzero(keep)[0])
         rows, owner = np.concatenate(found), np.concatenate(owner)
-        # the digits are -1, 0, +1, so -0.0 and 0.0 share a key; a code's
-        # keys stay below 3^2M, so the offset keeps codes apart
-        key = (rows.astype(np.int64) + 1) @ digits + owner * 3 ** two_m
-        _, first_seen = np.unique(key, return_index=True)
-        uniq, owner = rows[first_seen], owner[first_seen]
         # lexsort keys run from minor to major
-        weight = np.sum(np.abs(uniq), axis=1)
-        has_p = np.any(uniq[:, m_modes:] != 0, axis=1)
-        order = np.lexsort(tuple(uniq[:, ::-1].T) + (weight, has_p, owner))
+        weight = np.sum(np.abs(rows), axis=1)
+        has_p = np.any(rows[:, m_modes:] != 0, axis=1)
+        order = np.lexsort(tuple(rows[:, ::-1].T) + (weight, has_p, owner))
         counts = np.bincount(owner, minlength=n)
-        ranked.extend(np.split(uniq[order], np.cumsum(counts)[:-1]))
+        ranked.extend(np.split(rows[order], np.cumsum(counts)[:-1]))
     return ranked
 
 
@@ -526,9 +530,11 @@ class _StackDecoder:
     modes' column blocks gives their pseudo-inverses and (B, K, K) residual
     operators I - A A^+, with lstsq's singular-value cutoff.  They reach the
     syndromes through elementwise multiply-adds over K, so row t has the same
-    bits in any stack.  Candidates rank by (residual, mode); only rows with a
-    rival inside the tie window run the harmless check, one by one, and when
-    every rival is harmless the lowest of those modes wins.
+    bits in any stack.  Candidates rank by (residual, mode).  The rows with a
+    rival inside the tie window push their fits through the (B, M + 1, 2)
+    stack of the modes' nullifier and logical columns at once: a rival is
+    harmful when its action differs from the best fit's, and the first one
+    makes the row ambiguous; when none is, the lowest tied mode wins.
     """
 
     def __init__(
@@ -543,18 +549,23 @@ class _StackDecoder:
             raise ValueError(f"decode mode(s) {bad} out of range [0, {m_modes})")
         if not modes:
             raise ValueError("decode modes must name at least one mode")
-        self.code = code
         self.residual_tol = 1e-6 if residual_tol is None else residual_tol
         # ascending, so the first of equal residuals is the lowest mode
         self.modes = np.sort(np.array(modes, dtype=np.int64))
         k = forms.shape[0]
-        blocks = forms[:, np.stack([self.modes, m_modes + self.modes], axis=1)]
+        columns = np.stack([self.modes, m_modes + self.modes], axis=1)
+        blocks = forms[:, columns]
         blocks = np.ascontiguousarray(blocks.transpose(1, 0, 2))  # (B, K, 2)
         pinv = np.linalg.pinv(blocks, np.finfo(float).eps * max(k, 2))
         # per k, one (B, 2 + K) slice: the pseudo-inverse's and the residual
         # operator's column k, so one pass gives (e_x, e_p) and the residual
         ops = np.concatenate([pinv, np.eye(k) - blocks @ pinv], axis=1)
         self.ops = np.ascontiguousarray(ops.transpose(2, 0, 1))
+        if len(self.modes) > 1:
+            syn = code.syndrome_matrix()
+            self.split = len(syn)  # the action's nullifier part, then its logical part
+            action = np.concatenate([syn, code.logical_forms])[:, columns]
+            self.action = action.transpose(1, 0, 2)  # (B, M + 1, 2)
 
     def decode(self, syndromes: np.ndarray) -> _DecodedStack:
         s = np.asarray(syndromes, dtype=float)
@@ -575,41 +586,25 @@ class _StackDecoder:
         if len(self.modes) > 1:
             window = best_res + 1e-9 * np.maximum(scale, 1.0)
             tied = (res <= window[:, None]) & (self.modes != mode[:, None])
-            for t in np.flatnonzero(tied.any(axis=1) & ~zero & (failure == _DECODED)):
-                rival[t] = self._first_harmful(res[t], fit[t, :, :2], best[t], tied[t])
-                if rival[t] >= 0:
-                    failure[t] = _AMBIGUOUS
-                else:
-                    # every rival is an equivalent correction: the lowest mode
-                    # wins (the modes ascend), whatever the rounding ranked first
-                    c = np.flatnonzero(tied[t])[0]
-                    if self.modes[c] < mode[t]:
-                        mode[t], shift[t] = self.modes[c], fit[t, c, :2]
+            t = np.flatnonzero(tied.any(axis=1) & ~zero & (failure == _DECODED))
+            sol = fit[t, :, None, :2]  # (R, B, 1, 2)
+            act = self.action[..., 0] * sol[..., 0] + self.action[..., 1] * sol[..., 1]
+            act -= act[np.arange(len(t)), best[t], None]
+            harmless = ((np.sqrt(_row_sum_of_squares(act[..., :self.split])) < 1e-9)
+                        & (np.sqrt(_row_sum_of_squares(act[..., self.split:])) < 1e-9))
+            harmful = tied[t] & ~harmless
+            ranked = np.argsort(res[t], axis=1, kind="stable")  # (residual, mode) order
+            first = np.take_along_axis(harmful, ranked, axis=1).argmax(axis=1)
+            bad = harmful.any(axis=1)
+            rival[t[bad]], failure[t[bad]] = self.modes[ranked[bad, first[bad]]], _AMBIGUOUS
+            # every rival is an equivalent correction: the lowest mode wins
+            # (the modes ascend), whatever the rounding ranked first
+            t = t[~bad]
+            low = (tied[t] | (self.modes == mode[t, None])).argmax(axis=1)
+            mode[t], shift[t] = self.modes[low], fit[t, low, :2]
         if zero.any():
             mode[zero], shift[zero] = 0, 0.0
         return _DecodedStack(mode, shift, best_res, failure, rival)
-
-    def _first_harmful(
-        self, res: np.ndarray, sol: np.ndarray, best: int, tied: np.ndarray
-    ) -> int:
-        """The first tied rival of one row's best candidate, in (residual,
-        mode) order, whose correction differs from the best one by more than a
-        zero-syndrome, zero-logical-action displacement; -1 when none does."""
-        code, m_modes = self.code, self.code.mode_count
-        syn = code.syndrome_matrix()
-        best_d = DisplacementError(int(self.modes[best]), *map(float, sol[best]))
-        for c in np.lexsort((self.modes, res)):
-            if not tied[c]:
-                continue
-            cand = DisplacementError(int(self.modes[c]), *map(float, sol[c]))
-            delta = cand.embed(m_modes) - best_d.embed(m_modes)
-            harmless = (
-                np.linalg.norm(syn @ delta) < 1e-9
-                and np.linalg.norm(code.logical_forms @ delta) < 1e-9
-            )
-            if not harmless:
-                return cand.mode
-        return -1
 
 
 def _row_sum_of_squares(a: np.ndarray) -> np.ndarray:

@@ -56,6 +56,7 @@ from .grid import (
     fidelity,
     fourier_matrix,
     gaussian_kernel,
+    kick_phase,
     make_product_state,
     measure_positions,
     reduced_density,
@@ -483,12 +484,12 @@ def _weyl_terms(error: ErrorSpec, grid: GridSpec) -> tuple[np.ndarray, np.ndarra
         return np.ones(1, dtype=np.complex128), np.zeros(1, np.int64), np.zeros(1, np.int64)
     if error.kind == "displacement":
         kick = error.momentum_kick / grid.dx
+        phases = kick_phase(grid, error.momentum_kick)  # refuses a kick with no finite phase
         if abs(kick - round(kick)) <= 1e-9:
             coeffs, kicks = np.ones(1, dtype=np.complex128), np.array([round(kick)])
         else:
             # exp(2i q x_j) = sum_b c_b omega^(b (j - N/2)): the inverse
             # Fourier kernel gives c_b for b = k - N/2
-            phases = np.exp(2j * error.momentum_kick * grid.x_values())
             coeffs = fourier_matrix(n).conj() @ phases / math.sqrt(n)
             kicks = np.arange(n) - c0
         shifts = np.full(len(coeffs), int(error.shift_points))

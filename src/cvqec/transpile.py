@@ -90,6 +90,8 @@ def parse_qubit_circuit(text: str) -> QubitCircuit:
     count = payload[count_key]
     if type(count) is not int:
         raise QubitCircuitError(f"{count_key} must be an integer, got {count!r}")
+    if count < 1:
+        raise QubitCircuitError(f"{count_key} must be >= 1, got {count}")
     gates = []
     for pos, entry in enumerate(payload["gates"]):
         try:

@@ -502,3 +502,44 @@ def test_zero_repetitions_at_zero_sigma_is_usage_error(capsys):
     assert run_cli(["cycle", "--code", "repetition3", "--grid-n", "8", "--shift", "1",
                     "--sigma", "0", "--repetitions", "0"]) == 2
     assert "repetitions must be >= 1" in capsys.readouterr().err
+
+
+def test_kick_without_a_finite_phase_is_usage_error_on_every_route(tmp_path, capsys):
+    # inject used to write a state with NaN amplitudes, cycle to fail on a NaN
+    # fidelity and a sweep to report fidelity 1
+    enc, bad = tmp_path / "enc", tmp_path / "bad"
+    assert run_cli(["encode", "--code", "braunstein5", "--grid-n", "8", "--out", str(enc)]) == 0
+    capsys.readouterr()
+    assert run_cli(["inject", "--in", str(enc), "--out", str(bad), "--kick", "1e308"]) == 2
+    assert "(1e+308 dx) has no finite phase" in capsys.readouterr().err
+    assert not list(tmp_path.glob("bad*"))
+    assert run_cli(["cycle", "--code", "braunstein5", "--grid-n", "8", "--mode", "3",
+                    "--kick", "1e308"]) == 2
+    assert "no finite phase" in capsys.readouterr().err
+    path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    path.write_text(json.dumps({
+        "code": "braunstein5", "grid_n": 8, "sigmas": [0.0], "trials": 2, "seed": 1,
+        "error": {"kind": "displacement", "mode": 3, "kick": 1e308}}))
+    assert run_cli(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert "no finite phase" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_transpile_scan_over_the_budget_is_usage_error(tmp_path, capsys):
+    # a 20-qubit circuit used to end in a 330 TiB allocation traceback
+    for count in (13, 20):
+        path, out = tmp_path / f"q{count}.json", tmp_path / f"v{count}"
+        path.write_text(json.dumps({"qubit_count": count, "gates": []}))
+        assert run_cli(["transpile", "--in", str(path), "--enumerate",
+                        "--out-dir", str(out)]) == 2
+        assert f"{count - 1} nullifier rows" in capsys.readouterr().err
+        assert not (out / "verdicts.csv").exists()
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_qubit_count_below_one_is_usage_error(tmp_path, capsys, count):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"qubit_count": count, "gates": []}))
+    assert run_cli(["transpile", "--in", str(path)]) == 2
+    assert "qubit_count must be >= 1" in capsys.readouterr().err
+    assert capsys.readouterr().out == ""

@@ -263,3 +263,11 @@ def test_circuit_inverse_reverses_and_inverts():
     st = as_state(vec, 8, 2)
     out = apply_circuit(apply_circuit(st, circ), inv)
     assert np.max(np.abs(out.amplitudes - vec.reshape(-1))) < 1e-12
+
+
+def test_circuit_refuses_a_mode_count_below_one():
+    for count in (0, -3):
+        with pytest.raises(CircuitError, match="mode_count must be >= 1"):
+            Circuit(count, ())
+    with pytest.raises(CircuitError, match="got -3"):
+        Circuit.from_json('{"mode_count": -3, "gates": []}')

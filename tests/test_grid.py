@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -463,3 +464,20 @@ def test_load_state_refuses_bad_headers(tmp_path, header, message):
     json_path.write_text(json.dumps(header))
     with pytest.raises(GridError, match=message):
         load_state(tmp_path / "state")
+
+
+def test_kick_without_a_finite_phase_is_refused():
+    # 2 q x_j overflows for q near 1e308, and the phase vector used to be NaN
+    from cvqec.grid import kick_phase
+
+    grid = GridSpec(8, 2)
+    st = make_product_state(grid, [3, 5])
+    for kick in (1e308, -1e308):
+        with pytest.raises(GridError, match="no finite phase"):
+            kick_phase(grid, kick)
+        with pytest.raises(GridError, match=re.escape(f"momentum kick {kick} ")):
+            apply_displacement(st, 1, 1, kick)
+    # a finite phase is the kick's exponential, bit for bit
+    for kick in (0.37, -2.5, 1e300):
+        want = np.exp(2j * kick * grid.x_values())
+        assert kick_phase(grid, kick).tobytes() == want.tobytes()

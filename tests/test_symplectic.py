@@ -10,6 +10,7 @@ from cvqec import (
     Circuit,
     CodeSpec,
     DisplacementError,
+    GridError,
     GridSpec,
     Nullifier,
     UnrecognizedSyndromeError,
@@ -792,3 +793,145 @@ def test_incremental_pick_matches_the_matrix_rank_pick():
             _assert_basis_matches_the_reference_scan([Nullifier(tuple(r)) for r in raw], m)
         cases += 1
     assert cases == 3 + 128 + 50
+
+
+def _dependent_row_cases():
+    """Raw rows that do not span K independent directions: a negated copy of
+    a row, the sum of two rows, every row scaled by 0.5 and every row with a
+    1e-13 residue, from the built-ins with K <= 4 and drawn encoders.  Only
+    such rows can give one friendly row from two combinations."""
+    raws = [(np.array([n.coeffs for n in code.raw_nullifiers]), code.mode_count)
+            for code in (build_repetition3(), build_braunstein5())]
+    rng = np.random.default_rng(24)
+    for m in (3, 4, 5):
+        for _ in range(4):
+            steps = [(str(rng.choice(["F", "Finv", "Sum", "SumInv"])), int(rng.integers(0, 5)),
+                      int(rng.integers(1, 5))) for _ in range(int(rng.integers(1, 9)))]
+            code = CodeSpec.from_encoder("random", circuit_from_steps(m, steps))
+            raws.append((np.array([n.coeffs for n in code.raw_nullifiers]), m))
+    for raw, m in raws:
+        yield np.vstack([raw[:-1], -raw[:1]]), m
+        yield np.vstack([raw[:-1], raw[:1] + raw[1:2]]), m
+        yield np.vstack([raw, -raw[:1]]), m
+        yield 0.5 * raw, m
+        yield raw + 1e-13, m
+        yield np.vstack([raw, raw[:1] + 1e-13]), m
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_dependent_rows_match_the_reference_scan(monkeypatch, chunk):
+    """Dependent raw rows can list one friendly row several times; the stable
+    ranking keeps the copies in column order and the greedy pick keeps the
+    first, so the basis, signed zeros included, and a raise match the scan
+    that dedupes every combination."""
+    if chunk is not None:
+        monkeypatch.setattr(symplectic_module, "_SCAN_CHUNK", chunk)
+    repeated = 0
+    for raw, m in _dependent_row_cases():
+        _assert_basis_matches_the_reference_scan([Nullifier(tuple(r)) for r in raw], m)
+        (ranked,) = symplectic_module._friendly_rows(raw[None], m)
+        picked = symplectic_module._greedy_independent(ranked, len(raw))
+        assert picked == rank_greedy_pick(ranked, len(raw))
+        repeated += len({tuple(r) for r in ranked.tolist()}) < len(ranked)
+    assert repeated > 0
+
+
+def test_friendly_rows_list_each_row_once():
+    """Independent raw rows, as every code's are, give each friendly row from
+    exactly one scanned combination, alone and in the stacked scan of the
+    fixture's 128 candidates."""
+    qc = builtin_five_qubit_circuit()
+    raws = [np.array([n.coeffs for n in code.raw_nullifiers])
+            for code in (build_repetition3(), build_braunstein5(), build_shor9())]
+    raws += [np.array([n.coeffs for n in CodeSpec.from_encoder(
+        "candidate", substitute(qc, bits)).raw_nullifiers])
+        for bits in itertools.product((False, True), repeat=len(qc.xor_indices()))]
+    for raw in raws:
+        m = raw.shape[1] // 2
+        (ranked,) = symplectic_module._friendly_rows(raw[None], m)
+        assert len(ranked) > 0
+        assert len({tuple(r) for r in ranked.tolist()}) == len(ranked)
+    stacked = symplectic_module._friendly_rows(np.stack(raws[3:]), 5)
+    for raw, rows in zip(raws[3:], stacked):
+        (alone,) = symplectic_module._friendly_rows(raw[None], 5)
+        assert rows.tobytes() == alone.tobytes()
+
+
+def test_a_scan_over_the_budget_is_refused_before_it_allocates():
+    """Twelve raw rows need 5^12 // 2 combinations, over MAX_AMPLITUDES: the
+    scan raises GridError naming K, and from_encoder lets it through rather
+    than keeping the raw rows."""
+    import tracemalloc
+
+    rows = [Nullifier(tuple(r)) for r in np.eye(24)[:12]]
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridError, match="12 nullifier rows"):
+            measurement_basis(rows, 12)
+        with pytest.raises(GridError, match="12 nullifier rows"):
+            CodeSpec.from_encoder("wide", Circuit(13, ()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _per_row_tie_rule(code, modes, res, sol, best, tied):
+    """The tie rule one row at a time: walk the rivals in (residual, mode)
+    order and return the first whose correction minus the best one has a
+    nullifier or logical action of 1e-9 or more (-1 when none has), and the
+    index of the lowest mode among the best and the tied rivals."""
+    m = code.mode_count
+    best_d = DisplacementError(int(modes[best]), *map(float, sol[best]))
+    for c in sorted(range(len(modes)), key=lambda c: (res[c], modes[c])):
+        if not tied[c]:
+            continue
+        delta = DisplacementError(int(modes[c]), *map(float, sol[c])).embed(m) - best_d.embed(m)
+        if not (np.linalg.norm(code.syndrome_matrix() @ delta) < 1e-9
+                and np.linalg.norm(code.logical_forms @ delta) < 1e-9):
+            return int(modes[c]), best
+    return -1, min([best] + np.flatnonzero(tied).tolist(), key=lambda c: modes[c])
+
+
+def test_stacked_tie_pass_matches_the_per_row_rule():
+    """The tie pass over every tied row at once names the rival and picks the
+    mode that the per-row rule does, on shor9's harmless triple ties, on
+    repetition3 read through forms that cannot tell modes 0 and 1, or any
+    two of its modes, apart, and on noisy and damaged syndromes of each."""
+    rng = np.random.default_rng(7)
+    shor9, rep3 = build_shor9(), build_repetition3()
+    ambiguous, blind = np.zeros((2, 6)), np.zeros((2, 6))
+    ambiguous[0, 0] = ambiguous[0, 1] = ambiguous[1, 2] = 1.0
+    blind[0, :3] = 1.0  # x0 + x1 + x2: two harmful rivals per row
+    seen = set()
+    for code, forms in ((shor9, shor9.syndrome_matrix()), (rep3, ambiguous), (rep3, blind),
+                        (rep3, rep3.syndrome_matrix())):
+        m = code.mode_count
+        stack = []
+        for _ in range(200):
+            d = np.zeros(2 * m)
+            mode = int(rng.integers(0, m))
+            d[mode], d[m + mode] = rng.integers(-3, 4, size=2) * DECODE_DX
+            noise = rng.choice([0.0, 0.0, 1e-12, 0.3]) * rng.normal(size=len(forms))
+            stack.append(forms @ d + noise)
+        stack = np.array(stack)
+        for modes in (None, [2, 1, 0]):
+            decoder = symplectic_module._StackDecoder(code, forms, modes, float("inf"))
+            got = decoder.decode(stack)
+            fit = symplectic_module._apply_stack(decoder.ops, stack)
+            res = np.sqrt(symplectic_module._row_sum_of_squares(fit[:, :, 2:]))
+            for t, s in enumerate(stack):
+                best = int(np.argmin(res[t]))
+                window = res[t, best] + 1e-9 * max(np.linalg.norm(s), 1.0)
+                tied = (res[t] <= window) & (decoder.modes != decoder.modes[best])
+                if np.linalg.norm(s) < 1e-12 or not tied.any():
+                    continue
+                rival, low = _per_row_tie_rule(code, decoder.modes, res[t], fit[t, :, :2],
+                                               best, tied)
+                assert got.rival[t] == rival
+                assert got.failure[t] == (2 if rival >= 0 else 0)
+                if rival < 0:
+                    assert got.mode[t] == decoder.modes[low]
+                    assert got.shift[t].tobytes() == fit[t, low, :2].tobytes()
+                seen.add(rival >= 0)
+    assert seen == {True, False}

@@ -320,3 +320,10 @@ def test_one_qubit_circuit_is_refused_with_a_message():
     qc = QubitCircuit(1, (QubitGate("H", (0,)),))
     with pytest.raises(ValueError, match="at least two modes"):
         enumerate_valid_assignments(qc)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_parse_refuses_a_qubit_count_below_one(count):
+    for key in ("qubit_count", "mode_count"):
+        with pytest.raises(QubitCircuitError, match=f"{key} must be >= 1, got {count}"):
+            parse_qubit_circuit(json.dumps({key: count, "gates": []}))
