@@ -278,9 +278,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: options whose value may be negative: ``--kick -1e0`` reaches argparse as
+#: ``--kick=-1e0``, since it takes a dash-led token that is not a plain
+#: negative number such as ``-1.5`` for an option
+_SIGNED_OPTIONS = frozenset({"--kick", "--kernel-width", "--sigma", "--shift"})
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Join each negative number that follows one of ``_SIGNED_OPTIONS`` to
+    it, so the option's own type check reads it."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and arg.startswith("-") and _is_number(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (CliError, UnsupportedCodeError, GridError, QubitCircuitError,

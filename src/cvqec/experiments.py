@@ -4,12 +4,18 @@ A trial is :func:`cvqec.syndrome.run_qec_cycle` without the pre-error
 fidelity, its only dense step, which no CSV column holds: the frame trials,
 ``syndrome._OutcomeTable.trials``, read one mode's N grid points, so sweeps
 are not bounded by N^M.  A sweep fixes its error, so each :func:`run_sweep`
-call builds one outcome table (the decoded lines and their masses) and runs
-every sigma's trials through it as a batch: per trial only the draws run in
-Python, and each chunk of trials finds its outcomes, decodes its records and
-reads each (outcome, correction) pair's fidelities, computed once, in array
-passes.  The rows and CSV bytes are those of running every trial on a table
-of its own.
+call is one batch: it builds one syndrome plan and one outcome table (the
+decoded lines and their masses) and runs every sigma's trials through the
+table as one stream, sigma by sigma.  Per trial only the draws run in
+Python; each chunk of trials, which may span sigmas, finds its outcomes with
+one ``searchsorted``, decodes its noisy records as one stack while its
+noise-free ones index the decodes of every outcome's exact record, and reads
+each (outcome, correction) pair's fidelities, computed once per sweep.  Each
+column's per-sigma means and standard deviations come from one reduction
+over the (sigmas, trials) array, and the analytic column computes what its
+sigmas share (the estimator gain, where psi's amplitudes sit in each shifted
+copy) once.  The rows and CSV bytes are those of running every trial on a
+table of its own and aggregating each sigma alone.
 
 Trials are independent; each draws its random stream from (seed, sigma index,
 trial index), the :func:`trial_rng` stream, which a sweep reads from one
@@ -23,6 +29,7 @@ fidelity.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -37,8 +44,8 @@ from .syndrome import (
     ErrorSpec,
     MeasurementModel,
     _OutcomeTable,
+    _predicted_logical_fidelities,
     build_syndrome_circuit,
-    decoherence_prediction,
 )
 
 
@@ -217,18 +224,19 @@ def _trial_streams(
     from one generator whose Philox is re-keyed through ``.state`` (counter 0,
     empty buffer) for each trial; each yielded generator's stream lasts until
     the next is taken.  Re-keying skips building a Philox and its discarded
-    OS-entropy seed sequence per trial."""
+    OS-entropy seed sequence per trial, and only the key's low word changes
+    in the one state dict that every re-keying reads."""
     bits = np.random.Philox(counter=0, key=0)
     rng = np.random.Generator(bits)
-    zeros = np.zeros(4, dtype=np.uint64)
+    zeros = [0, 0, 0, 0]
+    key = [0, seed & 0xFFFFFFFFFFFFFFFF]  # _trial_key's (low, high) words
+    state = {
+        "bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+        "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
     for t in trials:
-        key = _trial_key(seed, stream, t)
-        bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": zeros, "key": np.array([key & 0xFFFFFFFFFFFFFFFF, key >> 64],
-                                                         dtype=np.uint64)},
-            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
+        key[0] = _trial_key(seed, stream, t) & 0xFFFFFFFFFFFFFFFF
+        bits.state = state
         yield rng
 
 
@@ -255,37 +263,40 @@ def run_sweep(
     error = error_from_config(config.error, grid.dx)
     plan = build_syndrome_circuit(code)
     table = _OutcomeTable(psi, code, error, plan, grid, config.decode_modes)
-    rows = []
-    for si, sigma_dx in enumerate(sorted(config.sigmas)):
-        sigma = sigma_dx * grid.dx
-        model = MeasurementModel.gaussian(sigma, repetitions=config.repetitions)
-        full, logical = np.empty(config.trials), np.empty(config.trials)
-        done = 0
-        for batch in table.trials(model, _trial_streams(config.seed, si, range(config.trials))):
-            stop = done + len(batch.post)
-            full[done:stop], logical[done:stop] = batch.post, batch.logical
-            done = stop
-        if trial_rows is not None:
-            trial_rows.extend((sigma, config.repetitions, t, full[t], logical[t])
-                              for t in range(config.trials))
-        analytic: float | None = None
-        if code.name == "repetition3":
-            error_mode = error.mode if error.kind != "none" else 0
-            rho = decoherence_prediction(psi, model, code, grid, error_mode)
-            analytic = float(np.real(psi.conj() @ rho @ psi))
-        rows.append(
-            SweepRow(
-                sigma=sigma,
-                repetitions=config.repetitions,
-                trials=config.trials,
-                mean_fidelity=float(full.mean()),
-                std_fidelity=float(full.std(ddof=0)),
-                mean_logical_fidelity=float(logical.mean()),
-                std_logical_fidelity=float(logical.std(ddof=0)),
-                analytic_logical_fidelity=analytic,
-            )
-        )
-    return rows
+    sigmas = [sigma_dx * grid.dx for sigma_dx in sorted(config.sigmas)]
+    models = [MeasurementModel.gaussian(sigma, repetitions=config.repetitions)
+              for sigma in sigmas]
+    trials = config.trials
+    # every sigma's trials, sigma by sigma, as one stream of (model, generator)
+    per_trial = itertools.chain.from_iterable(itertools.repeat(m, trials) for m in models)
+    streams = itertools.chain.from_iterable(
+        _trial_streams(config.seed, si, range(trials)) for si in range(len(sigmas)))
+    full, logical = np.empty(len(sigmas) * trials), np.empty(len(sigmas) * trials)
+    done = 0
+    for batch in table.trials(per_trial, streams):
+        stop = done + len(batch.post)
+        full[done:stop], logical[done:stop] = batch.post, batch.logical
+        done = stop
+    full, logical = full.reshape(len(sigmas), trials), logical.reshape(len(sigmas), trials)
+    if trial_rows is not None:
+        trial_rows.extend((sigma, config.repetitions, t, full[si, t], logical[si, t])
+                          for si, sigma in enumerate(sigmas) for t in range(trials))
+    analytic: list[float | None] = [None] * len(sigmas)
+    if code.name == "repetition3":
+        error_mode = error.mode if error.kind != "none" else 0
+        analytic = _predicted_logical_fidelities(psi, models, code, grid, error_mode)
+    # each row's reduction has the bits of reducing that sigma's trials alone
+    columns = (full.mean(axis=1), full.std(axis=1, ddof=0),
+               logical.mean(axis=1), logical.std(axis=1, ddof=0))
+    return [
+        SweepRow(sigma=sigma, repetitions=config.repetitions, trials=trials,
+                 mean_fidelity=float(mean), std_fidelity=float(std),
+                 mean_logical_fidelity=float(logical_mean),
+                 std_logical_fidelity=float(logical_std),
+                 analytic_logical_fidelity=prediction)
+        for sigma, mean, std, logical_mean, logical_std, prediction
+        in zip(sigmas, *columns, analytic)
+    ]
 
 
 SWEEP_HEADER = (

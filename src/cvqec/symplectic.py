@@ -178,15 +178,20 @@ def weyl_phase_form(circuit: Circuit) -> np.ndarray:
     omega^(-ab) times the rotated operator, so each adds -a_m b_m of the
     vector it meets.
     """
-    m = circuit.mode_count
-    s = np.eye(2 * m, dtype=np.int64)[None]
-    q = np.zeros((2 * m, 2 * m), dtype=np.int64)
-    for g in circuit.gates:
+    return _phase_tableau(circuit.mode_count, circuit.gates)[1]
+
+
+def _phase_tableau(m_modes: int, gates: Sequence[Gate]) -> tuple[np.ndarray, np.ndarray]:
+    """(S, Q) of the gates from one walk: the integer (int64) tableau of
+    :func:`circuit_symplectic` and the phase form of :func:`weyl_phase_form`."""
+    s = np.eye(2 * m_modes, dtype=np.int64)[None]
+    q = np.zeros((2 * m_modes, 2 * m_modes), dtype=np.int64)
+    for g in gates:
         if g.kind in ("F", "Finv"):
             (k,) = g.modes
-            q -= np.outer(s[0, k], s[0, m + k])
-        _apply_gate_rows(s, g, m)
-    return q
+            q -= np.outer(s[0, k], s[0, m_modes + k])
+        _apply_gate_rows(s, g, m_modes)
+    return s[0], q
 
 
 def encoder_images(circuit: Circuit) -> np.ndarray:
@@ -268,7 +273,9 @@ def _friendly_rows(raw: np.ndarray, m_modes: int) -> list[np.ndarray]:
     copies stay in column order, so the greedy pick keeps the first.  A pass
     is one ``(n 2M, K) @ (K, C)`` matmul over n whole codes, or over a slice
     of one code's C combinations when they alone exceed ``_SCAN_CHUNK``, so
-    no pass holds more than ``_SCAN_CHUNK`` (code, combination) columns.
+    no pass holds more than ``_SCAN_CHUNK`` (code, combination) columns; a
+    pass over a slice builds that slice's combinations from their column
+    indices, and a scan of one pass per group builds them once.
     The rows of each group of codes are ranked by one ``lexsort`` whose most
     major key is the code's index.  A scan of more than ``MAX_AMPLITUDES``
     combinations (K >= 12) is refused with :class:`~cvqec.grid.GridError`.
@@ -280,9 +287,10 @@ def _friendly_rows(raw: np.ndarray, m_modes: int) -> list[np.ndarray]:
     if c > MAX_AMPLITUDES:
         raise GridError(f"a basis scan of {k} nullifier rows needs 5^{k} // 2 = {c} "
                         f"combinations, over the {MAX_AMPLITUDES} budget")
-    # column i holds the base-5 digits of i, less 2, for i below the all-zero column
-    combos = np.indices((5,) * k, dtype=np.int8).reshape(k, 5**k)[:, :c] - 2
     per_pass, width = max(1, _SCAN_CHUNK // c), min(c, _SCAN_CHUNK)
+    table = _digit_table(width, k)
+    # a scan of one pass per group of codes builds its combinations once
+    whole = _scan_combinations(0, c, k, table) if width == c else None
     ranked: list[np.ndarray] = []
     for b0 in range(0, b, per_pass):
         group = raw[b0:b0 + per_pass]
@@ -290,9 +298,11 @@ def _friendly_rows(raw: np.ndarray, m_modes: int) -> list[np.ndarray]:
         block = group.transpose(0, 2, 1).reshape(n * two_m, k)
         found, owner = [], []
         for start in range(0, c, width):
+            combos = whole if whole is not None else _scan_combinations(
+                start, min(start + width, c), k, table)
             # one column per combination, so the per-row tests reduce over axis 1;
             # the sizes are taken in place, keeping one float array per pass
-            cols = (block @ combos[:, start:start + width].astype(float)).reshape(n, two_m, -1)
+            cols = (block @ combos).reshape(n, two_m, -1)
             negative = cols < 0
             sizes = np.abs(cols, out=cols)
             nonzero = sizes > 1e-9
@@ -316,6 +326,36 @@ def _friendly_rows(raw: np.ndarray, m_modes: int) -> list[np.ndarray]:
         counts = np.bincount(owner, minlength=n)
         ranked.extend(np.split(rows[order], np.cumsum(counts)[:-1]))
     return ranked
+
+
+def _digit_table(width: int, k: int) -> np.ndarray:
+    """The low L = min(K, l) base-5 digits, less 2, of 0 .. 2 * 5^L - 1 taken
+    mod 5^L, as floats, for the least l >= 1 with 5^l >= ``width``: a slice
+    of ``width`` consecutive columns of the scan crosses at most one
+    multiple of 5^L."""
+    low = 1
+    while 5**low < width and low < k:
+        low += 1
+    digits = np.indices((5,) * low).reshape(low, -1).astype(float) - 2.0
+    return np.concatenate([digits, digits], axis=1)
+
+
+def _scan_combinations(start: int, stop: int, k: int, table: np.ndarray) -> np.ndarray:
+    """Columns ``start`` to ``stop - 1`` of the scan as a (K, stop - start)
+    float array: column i holds the K base-5 digits of i, most significant
+    first, less 2.  The low digits are a slice of ``table``
+    (:func:`_digit_table`); the higher ones are those of start // 5^L up to
+    the one carry the slice may cross, and of the next number after it."""
+    low = table.shape[0]
+    high, offset = divmod(start, 5**low)
+    width = stop - start
+    out = np.empty((k, width))
+    out[k - low:] = table[:, offset:offset + width]
+    carry = min(width, 5**low - offset)
+    for lead, columns in ((high, slice(0, carry)), (high + 1, slice(carry, width))):
+        for row in range(k - low):
+            out[row, columns] = lead // 5 ** (k - low - 1 - row) % 5 - 2
+    return out
 
 
 def _greedy_independent(rows: np.ndarray, k: int) -> list[int]:
@@ -508,6 +548,11 @@ class _DecodedStack:
 
     def take(self, rows: np.ndarray) -> "_DecodedStack":
         return _DecodedStack(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def put(self, rows: Sequence[int], other: "_DecodedStack") -> None:
+        """Overwrite ``rows`` with the rows of ``other``, in place."""
+        for f in fields(self):
+            getattr(self, f.name)[rows] = getattr(other, f.name)
 
     def error(self, t: int) -> DisplacementError:
         """Row ``t`` as :func:`decode_syndrome` returns or raises it."""

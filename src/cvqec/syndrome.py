@@ -69,9 +69,8 @@ from .symplectic import (
     DisplacementError,
     _DecodedStack,
     _StackDecoder,
-    circuit_symplectic,
-    encoder_images,
-    weyl_phase_form,
+    _phase_tableau,
+    omega_matrix,
 )
 from .symplectic import decode_syndrome as _decode
 
@@ -197,23 +196,28 @@ def build_syndrome_circuit(code: CodeSpec) -> SyndromePlan:
             gates.append(sum_gate(mode, anc) if b > 0 else sum_inv(mode, anc))
             gates.append(fourier(mode))
     circuit = Circuit(m + len(forms), tuple(gates))
-    return SyndromePlan(
-        code.name, circuit, tuple(readout), forms, *_decoded_frame(code, forms),
-        weyl_phase_form(code.encoder.inverse()),
-    )
+    return SyndromePlan(code.name, circuit, tuple(readout), forms, *_decoded_frame(code, forms))
 
 
-def _decoded_frame(code: CodeSpec, forms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(G, S^-1) for the encoder's symplectic matrix S: G = forms @ S restricted
-    to the ancilla positions, the readouts as functions of the decoded state.
+def _decoded_frame(
+    code: CodeSpec, forms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(G, S^-1, Q) for the encoder's symplectic matrix S: G = forms @ S
+    restricted to the ancilla positions, the readouts as functions of the
+    decoded state, and the inverse encoder's tableau and phase form, from one
+    walk over its gates.
 
     Raises unless G is integer, the readouts ignore the logical mode and every
     momentum, and M - 1 rows of G have determinant +-1, which is when
     projecting the decoded ancilla positions is the K form readouts.  S, a
-    product of Fourier and Sum matrices, is integer with determinant 1.
+    product of Fourier and Sum matrices, is integer with determinant 1, and
+    symplectic, so S = Omega^T (S^-1)^T Omega exactly.
     """
-    s = circuit_symplectic(code.encoder).matrix
-    full = forms @ s
+    m = code.mode_count
+    inverse = [g.inverse() for g in reversed(code.encoder.gates)]
+    s_inv, phase = _phase_tableau(m, inverse)
+    omega = omega_matrix(m)
+    full = forms @ (omega.T @ s_inv.T @ omega)
     anc = list(code.ancilla_modes)
     g = np.round(full[:, anc]).astype(np.int64)
     on_ancillae = np.zeros_like(full)
@@ -223,7 +227,7 @@ def _decoded_frame(code: CodeSpec, forms: np.ndarray) -> tuple[np.ndarray, np.nd
     rows = itertools.combinations(range(len(g)), len(anc))
     if not any(abs(round(np.linalg.det(g[list(r)]))) == 1 for r in rows):
         raise SyndromeCircuitError("no M - 1 readouts with determinant +-1 on the ancillae")
-    return g, encoder_images(code.encoder).astype(np.int64)
+    return g, s_inv, phase
 
 
 def _scale_to_unit(row: np.ndarray) -> np.ndarray:
@@ -671,13 +675,14 @@ class _OutcomeTable:
     The correction moves the projected logical line, whose overlap with the
     input is the logical fidelity, and the post-correction fidelity when the
     ancillae are back at zero; each (tuple, correction) pair's fidelities are
-    computed once.  :meth:`trials` runs a stream of trials in chunks: only
-    the draws are per trial, and each chunk's records decode as one stack
+    computed once.  :meth:`trials` runs a stream of trials, under one model
+    or one model per trial (a whole sweep), in chunks: only the draws are
+    per trial, and each chunk's noisy records decode as one stack
     (``symplectic._StackDecoder``, whose rows decode to the bits
-    :func:`cvqec.symplectic.decode_syndrome` gives them alone).  A model
-    that draws no noise has every tuple's exact record decoded once, in one
-    stack, which its trials index.  A one-mode ``grid`` serves any code: only
-    N and dx are read.
+    :func:`cvqec.symplectic.decode_syndrome` gives them alone).  Every
+    tuple's exact record is decoded once, in one stack, when a trial whose
+    model draws no noise first needs it, and such trials index it.  A
+    one-mode ``grid`` serves any code: only N and dx are read.
     """
 
     def __init__(
@@ -705,35 +710,49 @@ class _OutcomeTable:
         return next(self.trials(model, [rng])).row(0)
 
     def trials(
-        self, model: MeasurementModel, rngs: Iterable[np.random.Generator]
+        self, models: MeasurementModel | Iterable[MeasurementModel],
+        rngs: Iterable[np.random.Generator],
     ) -> Iterator[_TrialBatch]:
         """One trial per generator of ``rngs``, in chunks of at most
-        ``_TRIAL_CHUNK``.  Each generator makes that trial's draws, in the
-        order one trial makes them (its double, then its readout noise),
-        before the next is taken, so an iterator may hand out one generator
-        re-keyed per trial.  The chunk's :func:`_readout_noise` draws are
-        stacked and averaged in one call, as :func:`_record` averages one
-        record's."""
-        rngs = iter(rngs)
+        ``_TRIAL_CHUNK``, under one model for every trial or under the
+        iterable ``models``, one model per trial: a sweep passes every sigma's
+        trials as one stream, and a chunk may span sigmas.  Each generator
+        makes that trial's draws, in the order one trial makes them (its
+        double, then its readout noise), before the next is taken, so an
+        iterator may hand out one generator re-keyed per trial.  A chunk's
+        noisy trials stack their :func:`_readout_noise` draws, which must
+        share one shape (one repetitions count), average them in one call as
+        :func:`_record` averages one record's, and decode as one stack; its
+        trials whose model draws nothing index the decodes of every tuple's
+        exact record, made once per table."""
+        if isinstance(models, MeasurementModel):
+            models = itertools.repeat(models)
+        draws = zip(models, rngs)
         k = len(self.plan.forms)
         while True:
-            doubles, noise = [], []
-            for rng in itertools.islice(rngs, _TRIAL_CHUNK):
+            doubles, noisy, noise = [], [], []
+            for i, (model, rng) in enumerate(itertools.islice(draws, _TRIAL_CHUNK)):
                 doubles.append(rng.random())
-                noise.append(_readout_noise(model, rng, k))
+                drawn = _readout_noise(model, rng, k)
+                if drawn is not None:
+                    noisy.append(i)
+                    noise.append(drawn)
             if not doubles:
                 return
             # _draw_outcome for every double at once
             outcome = np.searchsorted(self.cum, np.array(doubles) * self.cum[-1], side="right")
             true_values = self.true_values[outcome]
-            if noise[0] is None:
+            if len(noisy) == len(doubles):
+                reported = true_values + np.array(noise).mean(axis=-1)
+                decoded = self.decoder.decode(reported)
+            else:
                 reported = true_values + 0.0
                 if self.noise_free_decodes is None:
                     self.noise_free_decodes = self.decoder.decode(self.true_values + 0.0)
                 decoded = self.noise_free_decodes.take(outcome)
-            else:
-                reported = true_values + np.array(noise).mean(axis=-1)
-                decoded = self.decoder.decode(reported)
+                if noisy:
+                    reported[noisy] = true_values[noisy] + np.array(noise).mean(axis=-1)
+                    decoded.put(noisy, self.decoder.decode(reported[noisy]))
             yield self._corrected(outcome, true_values, reported, decoded)
 
     def _corrected(
@@ -798,6 +817,10 @@ def _estimator_row(code: CodeSpec, error_mode: int) -> np.ndarray:
     return np.linalg.pinv(forms[:, [error_mode, m + error_mode]])[0, :]
 
 
+#: block entries per ``np.add.at`` pass of :func:`_shift_mixtures`
+_MIXTURE_ENTRIES = 2**20
+
+
 def residual_shift_distribution(
     code: CodeSpec,
     model: MeasurementModel,
@@ -812,42 +835,58 @@ def residual_shift_distribution(
     averaged over repetitions; rounding to the grid and folding onto the
     periodic axis happen exactly as the correction step does them.
     """
-    n = grid.n_points
-    c0 = grid.center_index
-    out = np.zeros(n)
     if model.kind == "exact":
-        out[c0] = 1.0
-        return out
-    gain = estimator_gain(code, error_mode)
+        return _point_mass(grid)
+    return _shift_distribution(_estimator_row(code, error_mode), model, grid)
+
+
+def _point_mass(grid: GridSpec) -> np.ndarray:
+    out = np.zeros(grid.n_points)
+    out[grid.center_index] = 1.0
+    return out
+
+
+def _shift_distribution(
+    row: np.ndarray, model: MeasurementModel, grid: GridSpec
+) -> np.ndarray:
+    """:func:`residual_shift_distribution` of a Gaussian or custom model for
+    the estimator row ``row`` (:func:`_estimator_row`), so a sweep computes
+    that row once.
+
+    A Gaussian estimate's mass on residual shift k is the sum over the five
+    wraps kk = k + w N, w = -2..2, of (erf((kk + 1/2) s) - erf((kk - 1/2) s)) / 2,
+    added in wrap order; neighbouring bins share an edge, so each of the
+    5N + 1 edges is evaluated once.
+    """
+    n, c0 = grid.n_points, grid.center_index
     if model.kind == "gaussian":
-        sigma_eff = model.sigma * gain / math.sqrt(model.repetitions)
+        sigma_eff = model.sigma * float(np.linalg.norm(row)) / math.sqrt(model.repetitions)
         if sigma_eff == 0:
-            out[c0] = 1.0
-            return out
+            return _point_mass(grid)
         edges_scale = grid.dx / (sigma_eff * math.sqrt(2.0))
-        for k in range(-c0, n - c0):
-            p = 0.0
-            for wrap in (-2, -1, 0, 1, 2):  # fold tails of the periodic axis
-                kk = k + wrap * n
-                p += 0.5 * (
-                    math.erf((kk + 0.5) * edges_scale) - math.erf((kk - 0.5) * edges_scale)
-                )
-            out[(k + c0) % n] = p
+        # erfs[i]: the lower edge of bin kk = lo + i, lo the lowest wrapped shift
+        lo = -c0 - 2 * n
+        erfs = np.array([math.erf((e - 0.5) * edges_scale) for e in range(lo, lo + 5 * n + 1)])
+        # row w + 2, column k + c0: the bin of kk = k + w N
+        bins = (0.5 * (erfs[1:] - erfs[:-1])).reshape(5, n)
+        out = np.zeros(n)
+        for wrapped in bins:  # fold tails of the periodic axis
+            out += wrapped
         return out / out.sum()
     # custom table: enumerate offset tuples over the readouts feeding the estimate
     if model.repetitions != 1:
         raise ValueError("custom-model prediction supports repetitions == 1 only")
-    g = _estimator_row(code, error_mode)
     probs = (
         np.asarray(model.probabilities)
         if model.probabilities is not None
         else np.full(len(model.offsets), 1.0 / len(model.offsets))
     )
-    if len(model.offsets) ** len(g) > 200_000:
+    if len(model.offsets) ** len(row) > 200_000:
         raise ValueError("custom offset table too large to enumerate")
-    for combo in itertools.product(range(len(model.offsets)), repeat=len(g)):
+    out = np.zeros(n)
+    for combo in itertools.product(range(len(model.offsets)), repeat=len(row)):
         p = float(np.prod(probs[list(combo)]))
-        shift = float(np.dot(g, [model.offsets[i] for i in combo]))
+        shift = float(np.dot(row, [model.offsets[i] for i in combo]))
         k = int(round(shift / grid.dx))
         out[(k + c0) % n] += p
     return out / out.sum()
@@ -875,21 +914,69 @@ def decoherence_prediction(
         grid = GridSpec(len(psi), 1)
     _check_matrix_budget(grid.n_points)
     p = residual_shift_distribution(code, model, grid, error_mode)
+    return next(_shift_mixtures(psi, p[None], grid))
+
+
+def _predicted_logical_fidelities(
+    psi: np.ndarray, models: Sequence[MeasurementModel], code: CodeSpec, grid: GridSpec,
+    error_mode: int,
+) -> list[float]:
+    """psi^dag rho psi for the :func:`decoherence_prediction` rho of each
+    model, bit for bit, with what the models share computed once: the
+    estimator row, and where psi's amplitudes sit in each shifted copy."""
+    _check_matrix_budget(grid.n_points)
+    row = _estimator_row(code, error_mode)
+    dists = np.array([_shift_distribution(row, model, grid) for model in models])
+    bra = psi.conj()
+    return [float(np.real(bra @ rho @ psi)) for rho in _shift_mixtures(psi, dists, grid)]
+
+
+def _shift_mixtures(
+    psi: np.ndarray, weights: np.ndarray, grid: GridSpec
+) -> Iterator[np.ndarray]:
+    """Per row p of the (S, N) ``weights``, one at a time, the mixture of
+    psi's grid-shifted copies psi_k = np.roll(psi, -(k - N/2)) (the
+    correction of an estimate off by k - N/2 points subtracts it), with the
+    bits of adding each nonzero p[k] * np.outer(psi_k, psi_k.conj()) to a
+    zero matrix in k order.
+
+    A psi with more than N/2 nonzero amplitudes, or a non-finite amplitude
+    or weight, is summed that way, one term at a time through one reused
+    buffer.  Otherwise only the products of psi's nonzero amplitudes are
+    added, one block per term at rolled positions, by ``np.add.at`` (which
+    adds repeated positions in index order) in passes of at most
+    ``_MIXTURE_ENTRIES`` entries: every other entry of a term is a signed
+    zero, which leaves a sum that starts at +0.0 as it is (a non-finite
+    value would make it NaN instead).
+    """
     n, c0 = grid.n_points, grid.center_index
-    # entry k holds P(rounded estimate error = k points); the correction
-    # subtracts the estimate, so the state ends shifted by -k points:
-    # row i of ``shifted`` is np.roll(psi, -(k_i - c0)), gathered at once
-    (ks,) = np.nonzero(p)
-    shifted = psi[np.mod(np.arange(n) + (ks - c0)[:, None], n)]
-    conj = shifted.conj()
-    rho = np.zeros((n, n), dtype=np.complex128)
-    term = np.empty((n, n), dtype=np.complex128)
-    for i, k in enumerate(ks):
-        # p[k] * np.outer(shifted, shifted.conj()), in one reused buffer
-        np.multiply(shifted[i, :, None], conj[i, None, :], out=term)
-        term *= p[k]
-        rho += term
-    return rho
+    if len(psi) != n:
+        raise GridError(f"wavefunction length {len(psi)} != grid size {n}")
+    (support,) = np.nonzero(psi)
+    sparse = 2 * len(support) <= n and np.isfinite(psi).all() and np.isfinite(weights).all()
+    if sparse:
+        amps = psi[support]
+        block = amps[:, None] * amps.conj()[None, :]
+        # row k: the positions of amps in psi_k
+        cols = np.mod(support[None, :] - (np.arange(n) - c0)[:, None], n)
+        per_pass = max(1, _MIXTURE_ENTRIES // max(block.size, 1))
+    else:
+        term = np.empty((n, n), dtype=np.complex128)
+    for p in weights:
+        rho = np.zeros((n, n), dtype=np.complex128)
+        (ks,) = np.nonzero(p)
+        if sparse:
+            for start in range(0, len(ks), per_pass):
+                k = ks[start:start + per_pass]
+                at = cols[k, :, None] * n + cols[k, None, :]
+                np.add.at(rho.reshape(-1), at.ravel(), (block * p[k, None, None]).ravel())
+        else:
+            shifted = psi[np.mod(np.arange(n) + (ks - c0)[:, None], n)]
+            for row, row_conj, w in zip(shifted, shifted.conj(), p[ks]):
+                np.multiply(row[:, None], row_conj[None, :], out=term)
+                term *= w
+                rho += term
+        yield rho
 
 
 def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:

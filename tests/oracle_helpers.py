@@ -313,6 +313,30 @@ def lstsq_decode(code, syndrome, forms=None, modes=None, residual_tol=None):
     return min(equivalent, key=lambda e: e.mode)
 
 
+def looped_residual_shift_distribution(gain, sigma, repetitions, n, dx):
+    """Reference for ``syndrome.residual_shift_distribution`` under a
+    Gaussian model whose estimator row has norm ``gain``: for each residual
+    shift k, the rounding bin's mass (erf((kk + 1/2) s) - erf((kk - 1/2) s)) / 2
+    summed in Python over the five wraps kk = k + w N, w = -2..2, two
+    ``math.erf`` calls per bin and wrap, then normalized."""
+    c0 = n // 2
+    out = np.zeros(n)
+    sigma_eff = sigma * gain / math.sqrt(repetitions)
+    if sigma_eff == 0:
+        out[c0] = 1.0
+        return out
+    edges_scale = dx / (sigma_eff * math.sqrt(2.0))
+    for k in range(-c0, n - c0):
+        p = 0.0
+        for wrap in (-2, -1, 0, 1, 2):  # fold tails of the periodic axis
+            kk = k + wrap * n
+            p += 0.5 * (
+                math.erf((kk + 0.5) * edges_scale) - math.erf((kk - 0.5) * edges_scale)
+            )
+        out[(k + c0) % n] = p
+    return out / out.sum()
+
+
 def rolled_decoherence_prediction(psi, p):
     """Reference for ``syndrome.decoherence_prediction``'s sum: one
     ``np.roll`` and one ``np.outer`` per nonzero entry k of the residual shift

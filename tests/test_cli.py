@@ -543,3 +543,36 @@ def test_qubit_count_below_one_is_usage_error(tmp_path, capsys, count):
     assert run_cli(["transpile", "--in", str(path)]) == 2
     assert "qubit_count must be >= 1" in capsys.readouterr().err
     assert capsys.readouterr().out == ""
+
+
+def test_negative_kick_in_exponent_form_runs_like_the_attached_form(tmp_path, capsys):
+    # argparse took "-1e0" for an option: "--kick: expected one argument"
+    base = ["cycle", "--code", "braunstein5", "--grid-n", "8", "--mode", "3", "--shift", "1"]
+    outputs = []
+    for kick in (["--kick", "-1e0"], ["--kick=-1e0"], ["--kick", "-1.0"]):
+        assert run_cli(base + kick) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert json.loads(outputs[0])["inferred_error"]["e_p"] < 0
+    enc = tmp_path / "enc"
+    assert run_cli(["encode", "--code", "braunstein5", "--grid-n", "8", "--out", str(enc)]) == 0
+    for name, kick in (("a", ["--kick", "-1e0"]), ("b", ["--kick=-1e0"])):
+        assert run_cli(["inject", "--in", str(enc), "--out", str(tmp_path / name),
+                        "--mode", "3", *kick]) == 0
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+@pytest.mark.parametrize("flag,message", [
+    ("--sigma", "sigma must be finite and >= 0, got -1.0"),
+    ("--kernel-width", "kernel width must be finite and > 0"),
+])
+def test_negative_values_in_exponent_form_reach_their_checks(capsys, flag, message):
+    assert run_cli(["cycle", "--code", "repetition3", "--grid-n", "8", flag, "-1e0"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_negative_shift_in_exponent_form_reaches_its_int_check(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["cycle", "--code", "repetition3", "--grid-n", "8", "--shift", "-1e0"])
+    assert exc.value.code == 2
+    assert "argument --shift: invalid int value: '-1e0'" in capsys.readouterr().err

@@ -220,6 +220,66 @@ def test_sweep_trials_equal_untabulated_frame_trials(monkeypatch, spec):
     assert seen == expected_trials
 
 
+CHUNK_SWEEP_ROUTES = [
+    {"code": "repetition3", "grid_n": 32, "sigmas": [2.0, 0.0, 0.5, 1.0], "trials": 10,
+     "seed": 21, "repetitions": 3, "logical": {"kind": "two_peak", "separation": 8},
+     "error": {"kind": "displacement", "mode": 0, "shift": -3}, "decode_modes": [0]},
+    {"code": "braunstein5", "grid_n": 8, "sigmas": [0.5, 0.0, 1.5], "trials": 9, "seed": 3,
+     "repetitions": 2, "error": {"kind": "convolution", "mode": 2, "kernel_width": 0.8}},
+]
+
+
+@pytest.mark.parametrize("spec", CHUNK_SWEEP_ROUTES, ids=lambda s: s["code"])
+def test_sweep_chunks_that_span_sigmas_give_the_per_sigma_rows(monkeypatch, spec):
+    # seven trials a chunk, so chunk edges fall inside sigmas and one chunk
+    # mixes noise-free trials with noisy ones
+    config = SweepConfig(**spec)
+    code = codes.get_code(config.code)
+    grid = GridSpec(config.grid_n, 1)
+    psi = logical_wavefunction(config.logical, grid)
+    error = experiments.error_from_config(config.error, grid.dx)
+    plan = syndrome.build_syndrome_circuit(code)
+    expected, expected_rows = [], []
+    for si, sigma_dx in enumerate(sorted(config.sigmas)):
+        sigma = sigma_dx * grid.dx
+        model = syndrome.MeasurementModel.gaussian(sigma, config.repetitions)
+        full, logical = [], []
+        for t in range(config.trials):
+            fresh = syndrome._OutcomeTable(psi, code, error, plan, grid, config.decode_modes)
+            post, logical_fid, *_ = fresh.trial(model, experiments.trial_rng(config.seed, si, t))
+            full.append(post)
+            logical.append(logical_fid)
+            expected.append((sigma, config.repetitions, t, post, logical_fid))
+        analytic = None
+        if code.name == "repetition3":
+            rho = syndrome.decoherence_prediction(psi, model, code, grid, error.mode)
+            analytic = float(np.real(psi.conj() @ rho @ psi))
+        full, logical = np.array(full), np.array(logical)
+        expected_rows.append(experiments.SweepRow(
+            sigma=sigma, repetitions=config.repetitions, trials=config.trials,
+            mean_fidelity=float(full.mean()), std_fidelity=float(full.std(ddof=0)),
+            mean_logical_fidelity=float(logical.mean()),
+            std_logical_fidelity=float(logical.std(ddof=0)),
+            analytic_logical_fidelity=analytic,
+        ))
+    sizes = []
+    tabulated = syndrome._OutcomeTable.trials
+
+    def sized(self, models, rngs):
+        for batch in tabulated(self, models, rngs):
+            sizes.append(len(batch.post))
+            yield batch
+
+    monkeypatch.setattr(syndrome, "_TRIAL_CHUNK", 7)
+    monkeypatch.setattr(syndrome._OutcomeTable, "trials", sized)
+    trial_rows: list[tuple] = []
+    rows = experiments.run_sweep(config, trial_rows=trial_rows)
+    total = len(config.sigmas) * config.trials
+    assert sizes == [7] * (total // 7) + [total % 7]
+    assert trial_rows == expected
+    assert rows == expected_rows
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 @pytest.mark.parametrize("stream", [0, 3, 2**32 - 1])
 def test_rekeyed_trial_streams_equal_trial_rng(seed, stream):

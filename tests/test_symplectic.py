@@ -876,6 +876,54 @@ def test_a_scan_over_the_budget_is_refused_before_it_allocates():
     assert peak < 2**20
 
 
+def test_a_scan_builds_only_its_passes_combinations():
+    """A nine-row scan (a ten-mode identity encoder, 5^9 // 2 combinations)
+    builds each pass's combinations from its column indices, so it never
+    holds all of them: its traced peak used to be 25 MiB."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = CodeSpec.from_encoder("wide", Circuit(10, ()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(code.nullifiers) == 9
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("chunk", [7, symplectic_module._SCAN_CHUNK])
+def test_scan_combinations_are_the_base5_digits_of_their_columns(chunk):
+    for k in range(1, 7):
+        c = 5**k // 2
+        width = min(c, chunk)
+        table = symplectic_module._digit_table(width, k)
+        want = np.indices((5,) * k).reshape(k, -1)[:, :c] - 2
+        for start in range(0, c, width):
+            got = symplectic_module._scan_combinations(start, min(start + width, c), k, table)
+            assert got.dtype == float
+            assert np.array_equal(got, want[:, start:start + width])
+
+
+def test_one_pass_scans_build_their_combinations_once(monkeypatch):
+    built = []
+    scan = symplectic_module._scan_combinations
+
+    def counted(start, stop, k, table):
+        built.append((start, stop))
+        return scan(start, stop, k, table)
+
+    monkeypatch.setattr(symplectic_module, "_scan_combinations", counted)
+    # every five-mode transpiler candidate: four rows, 312 combinations
+    enumerate_valid_assignments(builtin_five_qubit_circuit())
+    assert built == [(0, 312)]
+    raw = build_shor9().raw_nullifiers
+    built.clear()
+    measurement_basis(raw, 9)  # 5^8 // 2 combinations, one pass per slice
+    width = symplectic_module._SCAN_CHUNK
+    assert built == [(s, min(s + width, 5**8 // 2)) for s in range(0, 5**8 // 2, width)]
+
+
 def _per_row_tie_rule(code, modes, res, sol, best, tied):
     """The tie rule one row at a time: walk the rivals in (residual, mode)
     order and return the first whose correction minus the best one has a

@@ -34,13 +34,20 @@ from cvqec import (
     fidelity,
     form_value_distribution,
     gaussian_kernel,
+    get_code,
     make_product_state,
     run_qec_cycle,
     trace_distance,
 )
 import cvqec.grid as grid_module
 import cvqec.syndrome as syndrome_module
-from oracle_helpers import circuit_from_steps, rolled_decoherence_prediction, trial_fields
+from oracle_helpers import (
+    circuit_from_steps,
+    looped_residual_shift_distribution,
+    rolled_decoherence_prediction,
+    trial_fields,
+)
+from cvqec.symplectic import encoder_images, weyl_phase_form
 from cvqec.syndrome import SyndromeCircuitError, estimator_gain, residual_shift_distribution
 
 
@@ -1024,6 +1031,100 @@ def test_decoherence_prediction_bytes_match_the_rolled_sum(n):
             p = residual_shift_distribution(code, model, grid)
             want = rolled_decoherence_prediction(psi, p)
             assert decoherence_prediction(psi, model, code, grid).tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    half_n=hs.integers(2, 1024),
+    code_name=hs.sampled_from(["repetition3", "braunstein5", "shor9"]),
+    mode_pick=hs.integers(0, 8),
+    sigma_dx=(hs.sampled_from([0.0, 1e-300, 1e-12, 1e6, 1e100, 1e300])
+              | hs.floats(0.01, 50.0)),
+    reps=hs.integers(1, 9),
+)
+@example(half_n=1024, code_name="repetition3", mode_pick=0, sigma_dx=16.0, reps=1)
+@example(half_n=2, code_name="braunstein5", mode_pick=3, sigma_dx=0.0, reps=9)
+@example(half_n=2, code_name="repetition3", mode_pick=0, sigma_dx=16.0, reps=1)  # wrap order
+def test_residual_shift_distribution_matches_the_looped_bins(half_n, code_name, mode_pick,
+                                                             sigma_dx, reps):
+    # each shared erf edge is evaluated once, and the five wraps of a bin are
+    # still added in wrap order, so every entry keeps its bits
+    n = 2 * half_n
+    grid, code = GridSpec(n, 1), get_code(code_name)
+    mode = mode_pick % code.mode_count
+    model = MeasurementModel.gaussian(sigma_dx * grid.dx, reps)
+    want = looped_residual_shift_distribution(estimator_gain(code, mode), model.sigma, reps, n,
+                                              grid.dx)
+    assert residual_shift_distribution(code, model, grid, mode).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_decoherence_prediction_of_sparse_inputs_matches_the_rolled_sum(monkeypatch, n):
+    # only the products of nonzero amplitudes are added; every other entry
+    # of the rolled sum only ever adds signed zeros to +0.0
+    grid, code = GridSpec(n, 1), build_repetition3()
+    signed = two_peak(n, 3)
+    signed[0] = complex(-0.0, -0.0)
+    half = np.zeros(n, dtype=np.complex128)  # N/2 amplitudes, the most summed as blocks
+    half[::2] = np.exp(1j * np.arange(n // 2)) / np.sqrt(n // 2)
+    for entries in (2**20, 5):  # one add.at pass per model, or one per term
+        monkeypatch.setattr(syndrome_module, "_MIXTURE_ENTRIES", entries)
+        for psi in (eigenstate(n, 1), two_peak(n, n // 4), signed, half):
+            for sigma_dx in (0.0, 0.5, 2.0, 16.0):
+                model = MeasurementModel.gaussian(sigma_dx * grid.dx, 2)
+                want = rolled_decoherence_prediction(psi, residual_shift_distribution(
+                    code, model, grid))
+                assert decoherence_prediction(psi, model, code, grid).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_sweep_predictions_equal_one_decoherence_prediction_per_model(n):
+    # a sweep computes its analytic column for every sigma at once
+    rng = np.random.default_rng(n)
+    grid = GridSpec(n, 1)
+    dense = rng.normal(size=n) + 1j * rng.normal(size=n)
+    dense[1] = complex(-0.0, 0.0)
+    dense /= np.linalg.norm(dense)
+    models = [MeasurementModel.gaussian(s * grid.dx, reps)
+              for s in (0.0, 0.3, 1.0, 4.0) for reps in (1, 3)]
+    for psi in (eigenstate(n, n // 2 + 1), two_peak(n, n // 4), dense):
+        for code, mode in ((build_repetition3(), 0), (build_repetition3(), 2),
+                           (build_braunstein5(), 3)):
+            want = [float(np.real(psi.conj() @ decoherence_prediction(psi, m, code, grid, mode)
+                                  @ psi)) for m in models]
+            got = syndrome_module._predicted_logical_fidelities(psi, models, code, grid, mode)
+            assert got == want
+
+
+def test_decoherence_prediction_refuses_a_wavefunction_of_another_length():
+    with pytest.raises(GridError, match="wavefunction length 8 != grid size 16"):
+        decoherence_prediction(eigenstate(8, 4), MeasurementModel.gaussian(1.0),
+                               build_repetition3(), GridSpec(16, 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=hs.integers(2, 5),
+    steps=hs.lists(hs.tuples(hs.sampled_from(["F", "Finv", "Sum", "SumInv"]),
+                             hs.integers(0, 4), hs.integers(1, 4)), min_size=1, max_size=8),
+)
+@example(m=5, steps=[])
+def test_plan_frame_equals_the_three_walk_route(m, steps):
+    # one walk of the inverse encoder gives S^-1 and Q; G comes from S, the
+    # symplectic inverse of S^-1, instead of a walk of the encoder itself
+    try:
+        code = (build_braunstein5() if not steps
+                else CodeSpec.from_encoder("random", circuit_from_steps(m, steps)))
+        plan = build_syndrome_circuit(code)
+    except (ValueError, SyndromeCircuitError):
+        reject()
+    s = circuit_symplectic(code.encoder).matrix
+    g = np.round((plan.forms @ s)[:, list(code.ancilla_modes)]).astype(np.int64)
+    assert plan.ancilla_map.dtype == np.int64 and np.array_equal(plan.ancilla_map, g)
+    assert plan.decoded_shift.dtype == np.int64
+    assert np.array_equal(plan.decoded_shift, encoder_images(code.encoder))
+    assert plan.phase_form.dtype == np.int64
+    assert np.array_equal(plan.phase_form, weyl_phase_form(code.encoder.inverse()))
 
 
 def test_monte_carlo_matches_prediction_smoke():
