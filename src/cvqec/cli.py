@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -193,8 +194,24 @@ def cmd_transpile(args: argparse.Namespace) -> int:
     return 0 if any_valid else VERIFY_ERROR
 
 
+#: a negative decimal number, with or without an exponent
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes a dash-led number in exponent form, such
+    as ``-1e0``, for a value, as argparse already takes ``-1.5``: so
+    ``--kick -1e0``, like ``--kick=-1e0``, reaches the option's own type
+    check, under its full name or any prefix argparse resolves.  Subparsers
+    are of the same class."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cvqec",
         description="Continuous-variable quantum error correction toolkit",
     )
@@ -278,35 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: options whose value may be negative: ``--kick -1e0`` reaches argparse as
-#: ``--kick=-1e0``, since it takes a dash-led token that is not a plain
-#: negative number such as ``-1.5`` for an option
-_SIGNED_OPTIONS = frozenset({"--kick", "--kernel-width", "--sigma", "--shift"})
-
-
-def _attach_signed_values(argv: list[str]) -> list[str]:
-    """Join each negative number that follows one of ``_SIGNED_OPTIONS`` to
-    it, so the option's own type check reads it."""
-    out: list[str] = []
-    for arg in argv:
-        if out and out[-1] in _SIGNED_OPTIONS and arg.startswith("-") and _is_number(arg):
-            out[-1] = f"{out[-1]}={arg}"
-        else:
-            out.append(arg)
-    return out
-
-
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (CliError, UnsupportedCodeError, GridError, QubitCircuitError,

@@ -13,8 +13,7 @@ noise-free ones index the decodes of every outcome's exact record, and reads
 each (outcome, correction) pair's fidelities, computed once per sweep.  Each
 column's per-sigma means and standard deviations come from one reduction
 over the (sigmas, trials) array, and the analytic column computes what its
-sigmas share (the estimator gain, where psi's amplitudes sit in each shifted
-copy) once.  The rows and CSV bytes are those of running every trial on a
+sigmas share (the estimator gain, psi's shifted copies) once.  The rows and CSV bytes are those of running every trial on a
 table of its own and aggregating each sigma alone.
 
 Trials are independent; each draws its random stream from (seed, sigma index,

@@ -178,15 +178,16 @@ def weyl_phase_form(circuit: Circuit) -> np.ndarray:
     omega^(-ab) times the rotated operator, so each adds -a_m b_m of the
     vector it meets.
     """
-    return _phase_tableau(circuit.mode_count, circuit.gates)[1]
+    return _phase_tableau(circuit)[1]
 
 
-def _phase_tableau(m_modes: int, gates: Sequence[Gate]) -> tuple[np.ndarray, np.ndarray]:
-    """(S, Q) of the gates from one walk: the integer (int64) tableau of
+def _phase_tableau(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    """(S, Q) of the circuit from one walk: the integer (int64) tableau of
     :func:`circuit_symplectic` and the phase form of :func:`weyl_phase_form`."""
+    m_modes = circuit.mode_count
     s = np.eye(2 * m_modes, dtype=np.int64)[None]
     q = np.zeros((2 * m_modes, 2 * m_modes), dtype=np.int64)
-    for g in gates:
+    for g in circuit.gates:
         if g.kind in ("F", "Finv"):
             (k,) = g.modes
             q -= np.outer(s[0, k], s[0, m_modes + k])
@@ -274,8 +275,9 @@ def _friendly_rows(raw: np.ndarray, m_modes: int) -> list[np.ndarray]:
     is one ``(n 2M, K) @ (K, C)`` matmul over n whole codes, or over a slice
     of one code's C combinations when they alone exceed ``_SCAN_CHUNK``, so
     no pass holds more than ``_SCAN_CHUNK`` (code, combination) columns; a
-    pass over a slice builds that slice's combinations from their column
-    indices, and a scan of one pass per group builds them once.
+    slice is a power of 5 columns wide, so its combinations are one table of
+    low digits under one column of high digits, and a scan of one pass per
+    group builds its combinations once.
     The rows of each group of codes are ranked by one ``lexsort`` whose most
     major key is the code's index.  A scan of more than ``MAX_AMPLITUDES``
     combinations (K >= 12) is refused with :class:`~cvqec.grid.GridError`.
@@ -287,10 +289,15 @@ def _friendly_rows(raw: np.ndarray, m_modes: int) -> list[np.ndarray]:
     if c > MAX_AMPLITUDES:
         raise GridError(f"a basis scan of {k} nullifier rows needs 5^{k} // 2 = {c} "
                         f"combinations, over the {MAX_AMPLITUDES} budget")
-    per_pass, width = max(1, _SCAN_CHUNK // c), min(c, _SCAN_CHUNK)
-    table = _digit_table(width, k)
-    # a scan of one pass per group of codes builds its combinations once
-    whole = _scan_combinations(0, c, k, table) if width == c else None
+    per_pass = max(1, _SCAN_CHUNK // c)
+    # a slice of one code's combinations is 5^L columns from a multiple of
+    # 5^L: its L low digits are those of 0 .. 5^L - 1, and its K - L high
+    # digits are one number's; a scan of one pass per group has L = K
+    low = k
+    while c > _SCAN_CHUNK and low > 1 and 5**low > _SCAN_CHUNK:
+        low -= 1
+    width = min(c, 5**low)
+    table = _base5_digits(np.arange(width), low)
     ranked: list[np.ndarray] = []
     for b0 in range(0, b, per_pass):
         group = raw[b0:b0 + per_pass]
@@ -298,8 +305,10 @@ def _friendly_rows(raw: np.ndarray, m_modes: int) -> list[np.ndarray]:
         block = group.transpose(0, 2, 1).reshape(n * two_m, k)
         found, owner = [], []
         for start in range(0, c, width):
-            combos = whole if whole is not None else _scan_combinations(
-                start, min(start + width, c), k, table)
+            combos = table[:, :c - start]
+            if low < k:
+                high = _base5_digits(start // width, k - low)
+                combos = np.vstack([np.broadcast_to(high, (k - low, combos.shape[1])), combos])
             # one column per combination, so the per-row tests reduce over axis 1;
             # the sizes are taken in place, keeping one float array per pass
             cols = (block @ combos).reshape(n, two_m, -1)
@@ -328,34 +337,10 @@ def _friendly_rows(raw: np.ndarray, m_modes: int) -> list[np.ndarray]:
     return ranked
 
 
-def _digit_table(width: int, k: int) -> np.ndarray:
-    """The low L = min(K, l) base-5 digits, less 2, of 0 .. 2 * 5^L - 1 taken
-    mod 5^L, as floats, for the least l >= 1 with 5^l >= ``width``: a slice
-    of ``width`` consecutive columns of the scan crosses at most one
-    multiple of 5^L."""
-    low = 1
-    while 5**low < width and low < k:
-        low += 1
-    digits = np.indices((5,) * low).reshape(low, -1).astype(float) - 2.0
-    return np.concatenate([digits, digits], axis=1)
-
-
-def _scan_combinations(start: int, stop: int, k: int, table: np.ndarray) -> np.ndarray:
-    """Columns ``start`` to ``stop - 1`` of the scan as a (K, stop - start)
-    float array: column i holds the K base-5 digits of i, most significant
-    first, less 2.  The low digits are a slice of ``table``
-    (:func:`_digit_table`); the higher ones are those of start // 5^L up to
-    the one carry the slice may cross, and of the next number after it."""
-    low = table.shape[0]
-    high, offset = divmod(start, 5**low)
-    width = stop - start
-    out = np.empty((k, width))
-    out[k - low:] = table[:, offset:offset + width]
-    carry = min(width, 5**low - offset)
-    for lead, columns in ((high, slice(0, carry)), (high + 1, slice(carry, width))):
-        for row in range(k - low):
-            out[row, columns] = lead // 5 ** (k - low - 1 - row) % 5 - 2
-    return out
+def _base5_digits(values: np.ndarray | int, k: int) -> np.ndarray:
+    """The K base-5 digits of each of ``values``, most significant first,
+    less 2, as a (K, len(values)) float array (one column for an int)."""
+    return np.array(np.unravel_index(values, (5,) * k), dtype=float).reshape(k, -1) - 2.0
 
 
 def _greedy_independent(rows: np.ndarray, k: int) -> list[int]:

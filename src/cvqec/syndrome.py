@@ -213,10 +213,8 @@ def _decoded_frame(
     product of Fourier and Sum matrices, is integer with determinant 1, and
     symplectic, so S = Omega^T (S^-1)^T Omega exactly.
     """
-    m = code.mode_count
-    inverse = [g.inverse() for g in reversed(code.encoder.gates)]
-    s_inv, phase = _phase_tableau(m, inverse)
-    omega = omega_matrix(m)
+    s_inv, phase = _phase_tableau(code.encoder.inverse())
+    omega = omega_matrix(code.mode_count)
     full = forms @ (omega.T @ s_inv.T @ omega)
     anc = list(code.ancilla_modes)
     g = np.round(full[:, anc]).astype(np.int64)
@@ -817,10 +815,6 @@ def _estimator_row(code: CodeSpec, error_mode: int) -> np.ndarray:
     return np.linalg.pinv(forms[:, [error_mode, m + error_mode]])[0, :]
 
 
-#: block entries per ``np.add.at`` pass of :func:`_shift_mixtures`
-_MIXTURE_ENTRIES = 2**20
-
-
 def residual_shift_distribution(
     code: CodeSpec,
     model: MeasurementModel,
@@ -923,7 +917,7 @@ def _predicted_logical_fidelities(
 ) -> list[float]:
     """psi^dag rho psi for the :func:`decoherence_prediction` rho of each
     model, bit for bit, with what the models share computed once: the
-    estimator row, and where psi's amplitudes sit in each shifted copy."""
+    estimator row and psi's shifted copies."""
     _check_matrix_budget(grid.n_points)
     row = _estimator_row(code, error_mode)
     dists = np.array([_shift_distribution(row, model, grid) for model in models])
@@ -936,46 +930,24 @@ def _shift_mixtures(
 ) -> Iterator[np.ndarray]:
     """Per row p of the (S, N) ``weights``, one at a time, the mixture of
     psi's grid-shifted copies psi_k = np.roll(psi, -(k - N/2)) (the
-    correction of an estimate off by k - N/2 points subtracts it), with the
-    bits of adding each nonzero p[k] * np.outer(psi_k, psi_k.conj()) to a
-    zero matrix in k order.
-
-    A psi with more than N/2 nonzero amplitudes, or a non-finite amplitude
-    or weight, is summed that way, one term at a time through one reused
-    buffer.  Otherwise only the products of psi's nonzero amplitudes are
-    added, one block per term at rolled positions, by ``np.add.at`` (which
-    adds repeated positions in index order) in passes of at most
-    ``_MIXTURE_ENTRIES`` entries: every other entry of a term is a signed
-    zero, which leaves a sum that starts at +0.0 as it is (a non-finite
-    value would make it NaN instead).
-    """
+    correction of an estimate off by k - N/2 points subtracts it): each
+    nonzero p[k] * np.outer(psi_k, psi_k.conj()) added to a zero matrix in k
+    order, one term at a time through one reused buffer.  The copies any
+    row weighs are gathered once for all rows."""
     n, c0 = grid.n_points, grid.center_index
     if len(psi) != n:
         raise GridError(f"wavefunction length {len(psi)} != grid size {n}")
-    (support,) = np.nonzero(psi)
-    sparse = 2 * len(support) <= n and np.isfinite(psi).all() and np.isfinite(weights).all()
-    if sparse:
-        amps = psi[support]
-        block = amps[:, None] * amps.conj()[None, :]
-        # row k: the positions of amps in psi_k
-        cols = np.mod(support[None, :] - (np.arange(n) - c0)[:, None], n)
-        per_pass = max(1, _MIXTURE_ENTRIES // max(block.size, 1))
-    else:
-        term = np.empty((n, n), dtype=np.complex128)
-    for p in weights:
+    # row i of ``shifted`` is psi_k for the i-th k that some row of weights has
+    (ks,) = np.nonzero(weights.any(axis=0))
+    shifted = psi[np.mod(np.arange(n) + (ks - c0)[:, None], n)]
+    conj = shifted.conj()
+    term = np.empty((n, n), dtype=np.complex128)
+    for p in weights[:, ks]:
         rho = np.zeros((n, n), dtype=np.complex128)
-        (ks,) = np.nonzero(p)
-        if sparse:
-            for start in range(0, len(ks), per_pass):
-                k = ks[start:start + per_pass]
-                at = cols[k, :, None] * n + cols[k, None, :]
-                np.add.at(rho.reshape(-1), at.ravel(), (block * p[k, None, None]).ravel())
-        else:
-            shifted = psi[np.mod(np.arange(n) + (ks - c0)[:, None], n)]
-            for row, row_conj, w in zip(shifted, shifted.conj(), p[ks]):
-                np.multiply(row[:, None], row_conj[None, :], out=term)
-                term *= w
-                rho += term
+        for i in np.flatnonzero(p):
+            np.multiply(shifted[i, :, None], conj[i, None, :], out=term)
+            term *= p[i]
+            rho += term
         yield rho
 
 

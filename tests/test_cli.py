@@ -576,3 +576,28 @@ def test_negative_shift_in_exponent_form_reaches_its_int_check(capsys):
         run_cli(["cycle", "--code", "repetition3", "--grid-n", "8", "--shift", "-1e0"])
     assert exc.value.code == 2
     assert "argument --shift: invalid int value: '-1e0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--kic", "--ki"])
+def test_negative_kick_in_exponent_form_runs_under_an_abbreviated_flag(capsys, flag):
+    base = ["cycle", "--code", "braunstein5", "--grid-n", "8", "--mode", "3", "--shift", "1"]
+    assert run_cli(base + ["--kick=-1e0"]) == 0
+    want = capsys.readouterr().out
+    assert run_cli(base + [flag, "-1e0"]) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("flag,message", [
+    ("--sig", "sigma must be finite and >= 0, got -0.015"),
+    ("--kernel", "kernel width must be finite and > 0"),
+])
+def test_abbreviated_flags_take_negative_exponent_values(capsys, flag, message):
+    assert run_cli(["cycle", "--code", "repetition3", "--grid-n", "8", flag, "-1.5e-2"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_a_token_that_is_not_a_number_is_still_read_as_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["cycle", "--code", "repetition3", "--grid-n", "8", "--kick", "-1e"])
+    assert exc.value.code == 2
+    assert "argument --kick: expected one argument" in capsys.readouterr().err

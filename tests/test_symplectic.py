@@ -892,36 +892,33 @@ def test_a_scan_builds_only_its_passes_combinations():
     assert peak < 8 * 2**20
 
 
-@pytest.mark.parametrize("chunk", [7, symplectic_module._SCAN_CHUNK])
-def test_scan_combinations_are_the_base5_digits_of_their_columns(chunk):
+def test_base5_digits_are_those_of_np_indices():
     for k in range(1, 7):
-        c = 5**k // 2
-        width = min(c, chunk)
-        table = symplectic_module._digit_table(width, k)
-        want = np.indices((5,) * k).reshape(k, -1)[:, :c] - 2
-        for start in range(0, c, width):
-            got = symplectic_module._scan_combinations(start, min(start + width, c), k, table)
-            assert got.dtype == float
-            assert np.array_equal(got, want[:, start:start + width])
+        want = np.indices((5,) * k).reshape(k, -1) - 2
+        got = symplectic_module._base5_digits(np.arange(5**k), k)
+        assert got.dtype == float
+        assert np.array_equal(got, want)
+        for i in (0, 5**k // 2, 5**k - 1):
+            assert np.array_equal(symplectic_module._base5_digits(i, k), want[:, i:i + 1])
 
 
 def test_one_pass_scans_build_their_combinations_once(monkeypatch):
     built = []
-    scan = symplectic_module._scan_combinations
+    digits = symplectic_module._base5_digits
 
-    def counted(start, stop, k, table):
-        built.append((start, stop))
-        return scan(start, stop, k, table)
+    def counted(values, k):
+        built.append((np.size(values), k))
+        return digits(values, k)
 
-    monkeypatch.setattr(symplectic_module, "_scan_combinations", counted)
+    monkeypatch.setattr(symplectic_module, "_base5_digits", counted)
     # every five-mode transpiler candidate: four rows, 312 combinations
     enumerate_valid_assignments(builtin_five_qubit_circuit())
-    assert built == [(0, 312)]
+    assert built == [(312, 4)]
     raw = build_shor9().raw_nullifiers
     built.clear()
-    measurement_basis(raw, 9)  # 5^8 // 2 combinations, one pass per slice
-    width = symplectic_module._SCAN_CHUNK
-    assert built == [(s, min(s + width, 5**8 // 2)) for s in range(0, 5**8 // 2, width)]
+    measurement_basis(raw, 9)  # 5^8 // 2 combinations in slices of 5^4
+    assert symplectic_module._SCAN_CHUNK == 5**4
+    assert built == [(5**4, 4)] + [(1, 4)] * -(-(5**8 // 2) // 5**4)
 
 
 def _per_row_tie_rule(code, modes, res, sol, best, tied):

@@ -1059,25 +1059,6 @@ def test_residual_shift_distribution_matches_the_looped_bins(half_n, code_name, 
 
 
 @pytest.mark.parametrize("n", [8, 32, 64])
-def test_decoherence_prediction_of_sparse_inputs_matches_the_rolled_sum(monkeypatch, n):
-    # only the products of nonzero amplitudes are added; every other entry
-    # of the rolled sum only ever adds signed zeros to +0.0
-    grid, code = GridSpec(n, 1), build_repetition3()
-    signed = two_peak(n, 3)
-    signed[0] = complex(-0.0, -0.0)
-    half = np.zeros(n, dtype=np.complex128)  # N/2 amplitudes, the most summed as blocks
-    half[::2] = np.exp(1j * np.arange(n // 2)) / np.sqrt(n // 2)
-    for entries in (2**20, 5):  # one add.at pass per model, or one per term
-        monkeypatch.setattr(syndrome_module, "_MIXTURE_ENTRIES", entries)
-        for psi in (eigenstate(n, 1), two_peak(n, n // 4), signed, half):
-            for sigma_dx in (0.0, 0.5, 2.0, 16.0):
-                model = MeasurementModel.gaussian(sigma_dx * grid.dx, 2)
-                want = rolled_decoherence_prediction(psi, residual_shift_distribution(
-                    code, model, grid))
-                assert decoherence_prediction(psi, model, code, grid).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("n", [8, 32, 64])
 def test_sweep_predictions_equal_one_decoherence_prediction_per_model(n):
     # a sweep computes its analytic column for every sigma at once
     rng = np.random.default_rng(n)
