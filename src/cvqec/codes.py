@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from typing import Callable, Hashable, TypeVar
 
 import numpy as np
 
@@ -39,6 +40,9 @@ from .symplectic import (
 
 class UnsupportedCodeError(ValueError):
     """No closed-form constructor is known for this code."""
+
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -107,6 +111,17 @@ class CodeSpec:
         forms = rows[[self.logical_mode, self.mode_count + self.logical_mode], :]
         forms.flags.writeable = False
         return forms
+
+    def _derived(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """``build()``, called once per ``key`` for this object and kept: the
+        syndrome plan, stack decoders and estimator rows that the syndrome
+        layer derives from a code and every call reuses.  Kept per object,
+        like :attr:`logical_forms`, not per equal code: equality ignores
+        ``readout_forms``."""
+        store = self.__dict__.setdefault("_derived_objects", {})
+        if key not in store:
+            store[key] = build()
+        return store[key]
 
     def to_json(self) -> str:
         payload = {

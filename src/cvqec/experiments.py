@@ -3,17 +3,20 @@
 A trial is :func:`cvqec.syndrome.run_qec_cycle` without the pre-error
 fidelity, its only dense step, which no CSV column holds: the frame trials,
 ``syndrome._OutcomeTable.trials``, read one mode's N grid points, so sweeps
-are not bounded by N^M.  A sweep fixes its error, so each :func:`run_sweep`
-call is one batch: it builds one syndrome plan and one outcome table (the
-decoded lines and their masses) and runs every sigma's trials through the
-table as one stream, sigma by sigma.  Per trial only the draws run in
-Python; each chunk of trials, which may span sigmas, finds its outcomes with
-one ``searchsorted``, decodes its noisy records as one stack while its
-noise-free ones index the decodes of every outcome's exact record, and reads
-each (outcome, correction) pair's fidelities, computed once per sweep.  Each
-column's per-sigma means and standard deviations come from one reduction
-over the (sigmas, trials) array, and the analytic column computes what its
-sigmas share (the estimator gain, psi's shifted copies) once.  The rows and CSV bytes are those of running every trial on a
+are not bounded by N^M.  What depends on the code alone, its syndrome plan,
+its stack decoder per decode-mode set and the analytic column's estimator
+row, is built once per code object and shared by every call.  A sweep fixes
+its error, so each :func:`run_sweep` call is one batch: it builds one outcome
+table (the decoded lines and their masses) and runs every sigma's trials
+through the table as one stream, sigma by sigma, drawn from one re-keyed
+generator.  Per trial only the draws run in Python; each chunk of trials,
+which may span sigmas, finds its outcomes with one ``searchsorted``, decodes
+its noisy records as one stack while its noise-free ones index the decodes
+of every outcome's exact record, and reads each (outcome, correction) pair's
+fidelities, computed once per sweep.  Each column's per-sigma means and
+standard deviations come from one reduction over the (sigmas, trials) array,
+and the analytic column computes what its sigmas share (psi's shifted
+copies) once.  The rows and CSV bytes are those of running every trial on a
 table of its own and aggregating each sigma alone.
 
 Trials are independent; each draws its random stream from (seed, sigma index,
@@ -42,9 +45,9 @@ from .grid import GridSpec, kernel_variance
 from .syndrome import (
     ErrorSpec,
     MeasurementModel,
+    _code_plan,
     _OutcomeTable,
     _predicted_logical_fidelities,
-    build_syndrome_circuit,
 )
 
 
@@ -200,9 +203,12 @@ def error_from_config(spec: dict, dx: float = 1.0) -> ErrorSpec:
             _config_float("kick", spec.get("kick", 0.0)) * dx,
         )
     width = _config_float("kernel_width", spec["kernel_width"])
-    error = ErrorSpec.convolution(_config_int("error mode", spec.get("mode", 0)), width * dx)
+    mode = _config_int("error mode", spec.get("mode", 0))
+    # checked as written, before the ErrorSpec holds it times dx
+    if not 0 < width < math.inf:
+        raise ConfigError(f"kernel width must be finite and > 0, got {width}")
     kernel_variance(width, dx)
-    return error
+    return ErrorSpec.convolution(mode, width * dx)
 
 
 def _trial_key(seed: int, stream: int, trial: int) -> int:
@@ -217,9 +223,10 @@ def trial_rng(seed: int, stream: int, trial: int) -> np.random.Generator:
 
 
 def _trial_streams(
-    seed: int, stream: int, trials: Iterable[int]
+    seed: int, streams: int | Iterable[int], trials: Sequence[int]
 ) -> Iterator[np.random.Generator]:
-    """``trial_rng(seed, stream, t)`` for each t of ``trials``, bit for bit,
+    """``trial_rng(seed, stream, t)`` for each stream of ``streams`` (an int:
+    that stream alone) and, within it, each t of ``trials``, bit for bit,
     from one generator whose Philox is re-keyed through ``.state`` (counter 0,
     empty buffer) for each trial; each yielded generator's stream lasts until
     the next is taken.  Re-keying skips building a Philox and its discarded
@@ -233,10 +240,11 @@ def _trial_streams(
         "bit_generator": "Philox", "state": {"counter": zeros, "key": key},
         "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
-    for t in trials:
-        key[0] = _trial_key(seed, stream, t) & 0xFFFFFFFFFFFFFFFF
-        bits.state = state
-        yield rng
+    for stream in [streams] if isinstance(streams, numbers.Integral) else streams:
+        for t in trials:
+            key[0] = _trial_key(seed, stream, t) & 0xFFFFFFFFFFFFFFFF
+            bits.state = state
+            yield rng
 
 
 @dataclass
@@ -260,16 +268,14 @@ def run_sweep(
     grid = GridSpec(config.grid_n, 1)
     psi = logical_wavefunction(config.logical, grid)
     error = error_from_config(config.error, grid.dx)
-    plan = build_syndrome_circuit(code)
-    table = _OutcomeTable(psi, code, error, plan, grid, config.decode_modes)
+    table = _OutcomeTable(psi, code, error, _code_plan(code), grid, config.decode_modes)
     sigmas = [sigma_dx * grid.dx for sigma_dx in sorted(config.sigmas)]
     models = [MeasurementModel.gaussian(sigma, repetitions=config.repetitions)
               for sigma in sigmas]
     trials = config.trials
     # every sigma's trials, sigma by sigma, as one stream of (model, generator)
     per_trial = itertools.chain.from_iterable(itertools.repeat(m, trials) for m in models)
-    streams = itertools.chain.from_iterable(
-        _trial_streams(config.seed, si, range(trials)) for si in range(len(sigmas)))
+    streams = _trial_streams(config.seed, range(len(sigmas)), range(trials))
     full, logical = np.empty(len(sigmas) * trials), np.empty(len(sigmas) * trials)
     done = 0
     for batch in table.trials(per_trial, streams):

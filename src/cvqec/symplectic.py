@@ -505,14 +505,27 @@ def decode_syndrome(
     they raise :class:`AmbiguousSyndromeError`.
 
     This is a stack of one for the decoder sweeps run on every trial's
-    record at once, so a syndrome decodes to the same bits alone or stacked.
+    record at once, so a syndrome decodes to the same bits alone or stacked,
+    and the decoder is the code's own (:func:`_code_decoder`), built once.
     """
     syndrome = np.asarray(syndrome, dtype=float)
     if forms is None:
         forms = code.syndrome_matrix()
     if forms.shape != (len(syndrome), 2 * code.mode_count):
         raise ValueError("forms shape does not match syndrome length / mode count")
-    return _StackDecoder(code, forms, modes, residual_tol).decode(syndrome[None, :]).error(0)
+    return _code_decoder(code, forms, modes, residual_tol).decode(syndrome[None, :]).error(0)
+
+
+def _code_decoder(
+    code: "CodeSpec", forms: np.ndarray, modes: Sequence[int] | None,
+    residual_tol: float | None,
+) -> "_StackDecoder":
+    """The :class:`_StackDecoder` of ``code`` for these forms (by value),
+    candidate modes and tolerance, built once per code object and shared by
+    :func:`decode_syndrome`, ``syndrome.correct`` and sweeps."""
+    modes = None if modes is None else tuple(modes)
+    key = ("decoder", forms.dtype.str, forms.shape, forms.tobytes(), modes, residual_tol)
+    return code._derived(key, lambda: _StackDecoder(code, forms, modes, residual_tol))
 
 
 #: ``_DecodedStack.failure`` values
@@ -596,6 +609,9 @@ class _StackDecoder:
             self.split = len(syn)  # the action's nullifier part, then its logical part
             action = np.concatenate([syn, code.logical_forms])[:, columns]
             self.action = action.transpose(1, 0, 2)  # (B, M + 1, 2)
+            self.action.flags.writeable = False
+        # one decoder serves every decode of its code (_code_decoder)
+        self.modes.flags.writeable = self.ops.flags.writeable = False
 
     def decode(self, syndromes: np.ndarray) -> _DecodedStack:
         s = np.asarray(syndromes, dtype=float)

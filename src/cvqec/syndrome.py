@@ -68,7 +68,7 @@ from .symplectic import (
     DecodeError,
     DisplacementError,
     _DecodedStack,
-    _StackDecoder,
+    _code_decoder,
     _phase_tableau,
     omega_matrix,
 )
@@ -173,7 +173,9 @@ def build_syndrome_circuit(code: CodeSpec) -> SyndromePlan:
     A momentum coefficient wraps the accumulation in an inverse-Fourier /
     Fourier pair on the data mode, so the ancilla picks up the momentum value
     and the data mode is restored.  Coefficients outside {-1, 0, +1} after
-    scaling are rejected (none of the built-in codes produce them).
+    scaling are rejected (none of the built-in codes produce them).  The
+    plan's arrays are read-only: frame trials share the plan of each code
+    (:func:`_code_plan`).
     """
     m = code.mode_count
     forms = np.array(code.readout_forms, dtype=float)
@@ -196,7 +198,16 @@ def build_syndrome_circuit(code: CodeSpec) -> SyndromePlan:
             gates.append(sum_gate(mode, anc) if b > 0 else sum_inv(mode, anc))
             gates.append(fourier(mode))
     circuit = Circuit(m + len(forms), tuple(gates))
-    return SyndromePlan(code.name, circuit, tuple(readout), forms, *_decoded_frame(code, forms))
+    arrays = (forms, *_decoded_frame(code, forms))
+    for a in arrays:
+        a.flags.writeable = False
+    return SyndromePlan(code.name, circuit, tuple(readout), *arrays)
+
+
+def _code_plan(code: CodeSpec) -> SyndromePlan:
+    """:func:`build_syndrome_circuit` of ``code``, built once per code object:
+    the plan a cycle, an extraction or a sweep uses when given none."""
+    return code._derived("plan", lambda: build_syndrome_circuit(code))
 
 
 def _decoded_frame(
@@ -285,7 +296,7 @@ def extract_syndrome(
     ancillae of :func:`build_syndrome_circuit`'s explicit circuit.
     """
     if plan is None:
-        plan = build_syndrome_circuit(code)
+        plan = _code_plan(code)
     decoded = apply_circuit(state, code.encoder.inverse())
     ancillae, decoded = measure_positions(decoded, code.ancilla_modes, rng)
     record = _record(_form_values(np.array(ancillae), plan, state.grid), model, rng, plan)
@@ -336,7 +347,7 @@ def extract_syndrome_via_ancillas(
     Memory scales as N**(M+K); intended for small-N cross-validation of
     :func:`extract_syndrome`.
     """
-    plan = build_syndrome_circuit(code)
+    plan = _code_plan(code)
     n = state.grid.n_points
     total = plan.circuit.mode_count
     big_grid = GridSpec(n, total)
@@ -614,7 +625,7 @@ def run_qec_cycle(
             raise GridError("pass either grid or n_points")
         grid = GridSpec(n_points, code.mode_count)
     if plan is None:
-        plan = build_syndrome_circuit(code)
+        plan = _code_plan(code)
     if reference is None:
         reference = encode(logical_wavefunction, code, grid)
     pre_fid = fidelity(apply_error(reference, error), reference)
@@ -694,7 +705,7 @@ class _OutcomeTable:
         self.cum = np.cumsum(probs)
         self.true_values = _form_values(self.tuples, plan, grid)
         # correct() decodes without a residual bound unless strict
-        self.decoder = _StackDecoder(code, plan.forms, decode_modes, float("inf"))
+        self.decoder = _code_decoder(code, plan.forms, decode_modes, float("inf"))
         # row t: the decode of tuple t's exact record
         self.noise_free_decodes: _DecodedStack | None = None
         self.fidelities: dict[tuple, tuple[float, float]] = {}
@@ -785,15 +796,20 @@ class _OutcomeTable:
         # moves both factors, and its kicks on the ancillae are global phases
         code, grid, ancillae = self.code, self.grid, self.tuples[t]
         lm, m, n = code.logical_mode, code.mode_count, grid.n_points
-        logical = MultiModeState(GridSpec(n, 1), _renormalized(self.lines[t]))
+        line = _renormalized(self.lines[t])
         if mode is not None:
             d = self.plan.decoded_shift[:, [mode, m + mode]] @ np.array([step_x, step_p])
-            logical = apply_displacement(logical, 0, d[lm], d[m + lm] * grid.dx)
+            # apply_displacement on the line, kick then shift, as one gather:
+            # entry j is line[j - s] * phase[j - s]
+            source = np.mod(np.arange(n) - d[lm], n)
+            line = line[source]
+            if d[m + lm]:
+                line *= kick_phase(grid, d[m + lm] * grid.dx)[source]
             ancillae = np.mod(ancillae + d[list(code.ancilla_modes)], n)
         post_fid = 0.0
         if np.all(ancillae == grid.center_index):
-            post_fid = abs(np.vdot(self.psi_hat, logical.tensor)) ** 2
-        return float(post_fid), float(abs(np.vdot(self.psi, logical.tensor)) ** 2)
+            post_fid = abs(np.vdot(self.psi_hat, line)) ** 2
+        return float(post_fid), float(abs(np.vdot(self.psi, line)) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -809,10 +825,16 @@ def estimator_gain(code: CodeSpec, error_mode: int) -> float:
 
 
 def _estimator_row(code: CodeSpec, error_mode: int) -> np.ndarray:
-    """Weights of the readouts in the decoder's e_x estimate for one mode."""
-    forms = np.array(code.readout_forms, dtype=float)
-    m = code.mode_count
-    return np.linalg.pinv(forms[:, [error_mode, m + error_mode]])[0, :]
+    """Weights of the readouts in the decoder's e_x estimate for one mode,
+    read-only and built once per code object and mode."""
+    def build() -> np.ndarray:
+        forms = np.array(code.readout_forms, dtype=float)
+        m = code.mode_count
+        row = np.linalg.pinv(forms[:, [error_mode, m + error_mode]])[0, :]
+        row.flags.writeable = False
+        return row
+
+    return code._derived(("estimator_row", error_mode), build)
 
 
 def residual_shift_distribution(
@@ -850,7 +872,8 @@ def _shift_distribution(
     A Gaussian estimate's mass on residual shift k is the sum over the five
     wraps kk = k + w N, w = -2..2, of (erf((kk + 1/2) s) - erf((kk - 1/2) s)) / 2,
     added in wrap order; neighbouring bins share an edge, so each of the
-    5N + 1 edges is evaluated once.
+    5N + 1 edges is evaluated once, by ``math.erf`` only where |x| < 6:
+    from about 5.92 on it is exactly +-1.
     """
     n, c0 = grid.n_points, grid.center_index
     if model.kind == "gaussian":
@@ -860,7 +883,10 @@ def _shift_distribution(
         edges_scale = grid.dx / (sigma_eff * math.sqrt(2.0))
         # erfs[i]: the lower edge of bin kk = lo + i, lo the lowest wrapped shift
         lo = -c0 - 2 * n
-        erfs = np.array([math.erf((e - 0.5) * edges_scale) for e in range(lo, lo + 5 * n + 1)])
+        x = (np.arange(lo, lo + 5 * n + 1) - 0.5) * edges_scale
+        erfs = np.sign(x)
+        (near,) = np.nonzero(np.abs(x) < 6)
+        erfs[near] = [math.erf(v) for v in x[near].tolist()]
         # row w + 2, column k + c0: the bin of kk = k + w N
         bins = (0.5 * (erfs[1:] - erfs[:-1])).reshape(5, n)
         out = np.zeros(n)

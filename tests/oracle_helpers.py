@@ -364,3 +364,25 @@ def rank_greedy_pick(rows: np.ndarray, k: int) -> list[int]:
         if len(picked) == k:
             break
     return picked
+
+
+def displaced_line_fidelities(table, t, mode=None, step_x=0, step_p=0):
+    """Reference for ``syndrome._OutcomeTable._corrected_fidelities``: the
+    normalized logical line of outcome ``t`` as a one-mode ``MultiModeState``,
+    displaced by ``apply_displacement`` along the correction's image in the
+    decoded frame, and its two overlaps (the post-correction fidelity only
+    when the corrected ancillae are back at zero)."""
+    from cvqec import GridSpec, MultiModeState, apply_displacement
+    from cvqec.grid import _renormalized
+
+    code, grid, ancillae = table.code, table.grid, table.tuples[t]
+    lm, m, n = code.logical_mode, code.mode_count, grid.n_points
+    logical = MultiModeState(GridSpec(n, 1), _renormalized(table.lines[t]))
+    if mode is not None:
+        d = table.plan.decoded_shift[:, [mode, m + mode]] @ np.array([step_x, step_p])
+        logical = apply_displacement(logical, 0, d[lm], d[m + lm] * grid.dx)
+        ancillae = np.mod(ancillae + d[list(code.ancilla_modes)], n)
+    post_fid = 0.0
+    if np.all(ancillae == grid.center_index):
+        post_fid = abs(np.vdot(table.psi_hat, logical.tensor)) ** 2
+    return float(post_fid), float(abs(np.vdot(table.psi, logical.tensor)) ** 2)

@@ -323,6 +323,28 @@ def test_kernel_width_refusal_quotes_the_width_as_typed(tmp_path, capsys):
                           GridSpec(8, 1).dx)
 
 
+
+@pytest.mark.parametrize("width", ["-1", "-1e0"])
+def test_negative_kernel_width_refusal_quotes_the_width_as_typed(capsys, width):
+    # the refusal used to quote the absolute width, -1 * dx = -0.6266570686577501
+    assert run_cli(["cycle", "--code", "repetition3", "--grid-n", "8",
+                    "--kernel-width", width]) == 2
+    err = capsys.readouterr().err
+    assert "kernel width must be finite and > 0, got -1.0" in err
+    assert "0.6266" not in err
+
+
+def test_negative_kernel_width_in_a_sweep_config_quotes_the_width_as_typed(tmp_path, capsys):
+    path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    path.write_text(json.dumps({
+        "code": "repetition3", "grid_n": 8, "sigmas": [0.0], "trials": 2, "seed": 1,
+        "error": {"kind": "convolution", "mode": 0, "kernel_width": -1}}))
+    assert run_cli(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "kernel width must be finite and > 0, got -1.0" in err
+    assert "0.6266" not in err
+    assert not out.exists()
+
 @pytest.mark.parametrize("entry,message", [
     ({"sigmas": [True]}, "sigma must be a number, got True"),
     ({"sigmas": [0.0, "0.5"]}, "sigma must be a number, got '0.5'"),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -294,6 +295,95 @@ def test_rekeyed_trial_streams_equal_trial_rng(seed, stream):
                     == fresh.normal(0.0, 0.7, size=(k, reps)).tobytes())
             assert rng.random() == fresh.random()
 
+
+
+def test_one_generator_serves_every_stream_of_a_sweep(monkeypatch):
+    seed, streams, trials = 2**64 - 1, [0, 3, 2**32 - 1], [0, 7, 2**32 - 1]
+    keys = [(si, t) for si in streams for t in trials]
+    for (si, t), rng in zip(keys, experiments._trial_streams(seed, streams, trials),
+                            strict=True):
+        fresh = experiments.trial_rng(seed, si, t)
+        assert rng.random() == fresh.random()
+        assert rng.normal(size=(3, 2)).tobytes() == fresh.normal(size=(3, 2)).tobytes()
+    built = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    experiments.run_sweep(SweepConfig(**{**BASE, "sigmas": [0.0, 0.5, 1.0, 2.0]}))
+    assert len(built) == 1
+
+
+def _sweep_bytes(config: SweepConfig) -> tuple[str, str, bytes]:
+    """The sweep's CSV, its trial CSV and every trial row's floats as bytes."""
+    trial_rows: list[tuple] = []
+    rows = experiments.run_sweep(config, trial_rows=trial_rows)
+    floats = np.array([row[3:] for row in trial_rows]).tobytes()
+    return (experiments.sweep_rows_to_csv(rows),
+            experiments.trial_rows_to_csv(config, trial_rows), floats)
+
+
+def test_per_code_objects_go_by_identity_not_equality(monkeypatch):
+    built = codes.build_repetition3()
+    # equal to the built-in code, which reads three cyclic differences, but
+    # reading its two nullifier rows
+    twin = dataclasses.replace(built, readout_forms=tuple(n.coeffs for n in built.nullifiers))
+    assert twin == built
+    plan, twin_plan = syndrome._code_plan(built), syndrome._code_plan(twin)
+    assert syndrome._code_plan(built) is plan and syndrome._code_plan(twin) is twin_plan
+    assert plan.forms.shape == (3, 6) and twin_plan.forms.shape == (2, 6)
+    decoder = symplectic._code_decoder(built, plan.forms, [0], math.inf)
+    twin_decoder = symplectic._code_decoder(twin, twin_plan.forms, [0], math.inf)
+    assert symplectic._code_decoder(built, plan.forms.copy(), [0], math.inf) is decoder
+    assert twin_decoder is not decoder
+    row, twin_row = syndrome._estimator_row(built, 0), syndrome._estimator_row(twin, 0)
+    assert syndrome._estimator_row(built, 0) is row and len(row) == 3 and len(twin_row) == 2
+    # the reused arrays are read-only
+    shared = [plan.forms, plan.ancilla_map, plan.decoded_shift, plan.phase_form,
+              decoder.ops, decoder.modes, row]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 7
+    # the twin's sweep: its own bytes, the same after the built-in code ran
+    config = SweepConfig(code="repetition3", grid_n=16, sigmas=[0.0, 0.7, 1.5], trials=30,
+                         seed=11, logical={"kind": "two_peak", "separation": 4},
+                         error={"kind": "displacement", "mode": 0, "shift": 2})
+    monkeypatch.setattr(experiments, "get_code", lambda name: twin)
+    twin_bytes = _sweep_bytes(config)
+    monkeypatch.setattr(experiments, "get_code", codes.get_code)
+    built_bytes = _sweep_bytes(config)
+    assert twin_bytes[0] != built_bytes[0] and twin_bytes[2] != built_bytes[2]
+    fresh = dataclasses.replace(built, readout_forms=twin.readout_forms)
+    monkeypatch.setattr(experiments, "get_code", lambda name: fresh)
+    assert _sweep_bytes(config) == twin_bytes
+
+
+def test_a_sweep_keeps_its_bytes_after_other_codes_reuse_their_objects():
+    config = SweepConfig(code="braunstein5", grid_n=8, sigmas=[0.0, 0.5, 1.5], trials=40,
+                         seed=9, repetitions=2,
+                         error={"kind": "convolution", "mode": 2, "kernel_width": 0.8})
+    first = _sweep_bytes(config)
+    for name, mode in (("repetition3", 1), ("shor9", 4)):
+        _sweep_bytes(SweepConfig(code=name, grid_n=8, sigmas=[0.0, 1.0], trials=20, seed=3,
+                                 error={"kind": "displacement", "mode": mode, "shift": 1}))
+    for code in map(codes.get_code, codes.BUILTIN_CODES):
+        grid = GridSpec(4 if code.mode_count > 5 else 8, code.mode_count)
+        psi = np.zeros(grid.n_points, dtype=np.complex128)
+        psi[grid.center_index] = 1.0
+        error = syndrome.ErrorSpec.displacement(code.mode_count - 1, 1, grid.dx)
+        model = syndrome.MeasurementModel.gaussian(0.5 * grid.dx)
+        report = syndrome.run_qec_cycle(psi, code, error, model, np.random.default_rng(1),
+                                        grid=grid, decode_modes=[code.mode_count - 1])
+        assert report.syndrome.forms is syndrome._code_plan(code).forms
+        damaged = syndrome.apply_error(codes.encode(psi, code, grid), error)
+        record, collapsed = syndrome.extract_syndrome(damaged, code, model,
+                                                      np.random.default_rng(2))
+        syndrome.correct(collapsed, code, record)
+        syndrome.correct(collapsed, code, record, decode_modes=[0], strict=True)
+    assert _sweep_bytes(config) == first
 
 def test_noise_free_sweep_decodes_each_outcome_once(monkeypatch):
     # a convolution spreads the draw over several ancilla tuples; at sigma 0

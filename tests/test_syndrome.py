@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ import cvqec.grid as grid_module
 import cvqec.syndrome as syndrome_module
 from oracle_helpers import (
     circuit_from_steps,
+    displaced_line_fidelities,
     looped_residual_shift_distribution,
     rolled_decoherence_prediction,
     trial_fields,
@@ -934,6 +936,45 @@ def test_trials_batch_at_the_chunk_size_equals_frame_trials():
         assert got[t] == trial_fields(fresh.trial(model, trial_rng(6, 2, t)))
 
 
+def _fidelity_bits(pair):
+    return tuple(float(f).hex() for f in pair)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=hs.sampled_from(TABLE_CASES),
+    seed=hs.integers(0, 2**32 - 1),
+    error_kind=hs.sampled_from(FRAME_ERRORS),
+    mode_pick=hs.integers(0, 8),
+    shift=hs.integers(-3, 3),
+    kick=hs.integers(-3, 3),
+    sigma_dx=hs.sampled_from([0.0, 0.4, 1.0, 2.5]),
+    decode_pick=hs.none() | hs.integers(0, 8),
+)
+def test_corrected_fidelities_equal_the_displaced_state_route(
+    case, seed, error_kind, mode_pick, shift, kick, sigma_dx, decode_pick
+):
+    # every (tuple, correction) pair a drawn table's trials memoize: the one
+    # gather and kick on the line against a one-mode state moved by
+    # apply_displacement
+    code, plan, grid, psi, error = _frame_inputs(*case, seed, error_kind, mode_pick, shift, kick)
+    decode_modes = None if decode_pick is None else [decode_pick % code.mode_count]
+    table = syndrome_module._OutcomeTable(psi, code, error, plan, grid, decode_modes)
+    model = MeasurementModel.gaussian(sigma_dx * grid.dx, repetitions=2)
+    for _ in table.trials(model, (np.random.default_rng([seed, t]) for t in range(40))):
+        pass
+    assert table.fidelities
+    for key, got in table.fidelities.items():
+        assert _fidelity_bits(got) == _fidelity_bits(displaced_line_fidelities(table, *key))
+    # corrections no trial drew: shifts and kicks on every mode
+    rng = np.random.default_rng(seed)
+    for _ in range(6):
+        key = (int(rng.integers(len(table.tuples))), int(rng.integers(code.mode_count)),
+               int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
+        assert (_fidelity_bits(table._corrected_fidelities(*key))
+                == _fidelity_bits(displaced_line_fidelities(table, *key)))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     mode=hs.integers(0, 4),
@@ -1057,6 +1098,21 @@ def test_residual_shift_distribution_matches_the_looped_bins(half_n, code_name, 
                                               grid.dx)
     assert residual_shift_distribution(code, model, grid, mode).tobytes() == want.tobytes()
 
+
+def test_erf_is_exactly_one_wherever_the_distribution_skips_it():
+    # _shift_distribution calls math.erf only on edges with |x| < 6 and
+    # takes the others' sign; every edge of these grids and widths, and a
+    # dense sweep of [6, 40], must give that sign exactly
+    xs = np.linspace(6.0, 40.0, 200_001).tolist() + [1e3, 1e300, math.inf]
+    for n in (4, 32, 2048):
+        grid, c0 = GridSpec(n, 1), n // 2
+        for sigma_dx in (1e-3, 0.1, 0.5, 1.0, 3.0):
+            scale = grid.dx / (sigma_dx * grid.dx * math.sqrt(2.0))
+            xs += [(e - 0.5) * scale for e in range(-c0 - 2 * n, -c0 + 3 * n + 1)]
+    far = [x for x in xs if abs(x) >= 6]
+    assert len(far) > 200_000
+    assert all(math.erf(x) == math.copysign(1.0, x) for x in far)
+    assert all(math.erf(-x) == -math.copysign(1.0, x) for x in far)
 
 @pytest.mark.parametrize("n", [8, 32, 64])
 def test_sweep_predictions_equal_one_decoherence_prediction_per_model(n):
