@@ -35,7 +35,6 @@ from .grid import (
     gaussian_kernel,
     load_state,
     make_product_state,
-    measure_position,
     measure_positions,
     position_distribution,
     reduced_density,
@@ -52,7 +51,6 @@ from .symplectic import (
     check_correctability,
     circuit_symplectic,
     decode_syndrome,
-    derive_nullifiers,
     gate_symplectic,
     measurement_basis,
     omega_matrix,

@@ -152,14 +152,6 @@ def _joint_position_distribution(state: MultiModeState, modes: tuple[int, ...]) 
     return p.sum(axis=axes).transpose([order.index(m) for m in modes])
 
 
-def measure_position(
-    state: MultiModeState, mode: int, rng: np.random.Generator
-) -> tuple[int, MultiModeState]:
-    """Sample a position outcome for one mode and collapse onto it."""
-    (outcome,), collapsed = measure_positions(state, (mode,), rng)
-    return outcome, collapsed
-
-
 def measure_positions(
     state: MultiModeState, modes: Sequence[int], rng: np.random.Generator
 ) -> tuple[tuple[int, ...], MultiModeState]:

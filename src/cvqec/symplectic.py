@@ -146,25 +146,31 @@ def _apply_gate_rows(
 def _tableau_stack(
     m_modes: int, gates: Sequence[Gate], signs: dict[int, np.ndarray] | None = None,
     batch: int = 1,
-) -> np.ndarray:
-    """The (B, 2M, 2M) stack of the products of the gates' symplectic
-    matrices, last gate leftmost, from one walk over ``gates``.  The B
-    circuits share the gate list and differ only in the Sum-type gates that
-    ``signs`` maps, by position, to a (B, 1) column of +1 (Sum) and -1
-    (SumInv).  The entries are integers, so every tableau is exact, and
-    every zero is +0.0, as the matrix product gives."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, 2M, 2M) integer (int64) stacks (S, Q) of B circuits from one
+    walk over ``gates``: S the product of the gates' symplectic matrices,
+    last gate leftmost, and Q the phase form of :func:`weyl_phase_form`.
+    The B circuits share the gate list and differ only in the Sum-type gates
+    that ``signs`` maps, by position, to a (B, 1) integer column of +1 (Sum)
+    and -1 (SumInv).  Each F or Finv on mode k first adds -outer(x_k, p_k)
+    of the rows it meets to Q."""
     signs = signs or {}
-    s = np.repeat(np.eye(2 * m_modes)[None], batch, axis=0)
+    s = np.repeat(np.eye(2 * m_modes, dtype=np.int64)[None], batch, axis=0)
+    q = np.zeros_like(s)
     for i, g in enumerate(gates):
+        if g.kind in ("F", "Finv"):
+            (k,) = g.modes
+            q -= s[:, k, :, None] * s[:, m_modes + k, None, :]
         _apply_gate_rows(s, g, m_modes, signs.get(i))
-    return s + 0.0
+    return s, q
 
 
 def circuit_symplectic(circuit: Circuit) -> SymplecticRep:
     """The product of the gates' symplectic matrices, last gate leftmost:
-    the stack of one of :func:`_tableau_stack`."""
+    the stack of one of :func:`_tableau_stack`, whose integers convert to
+    exact floats with every zero +0.0, as the matrix product gives."""
     m = circuit.mode_count
-    return SymplecticRep(m, _tableau_stack(m, circuit.gates)[0])
+    return SymplecticRep(m, _tableau_stack(m, circuit.gates)[0][0].astype(float))
 
 
 def weyl_phase_form(circuit: Circuit) -> np.ndarray:
@@ -178,21 +184,7 @@ def weyl_phase_form(circuit: Circuit) -> np.ndarray:
     omega^(-ab) times the rotated operator, so each adds -a_m b_m of the
     vector it meets.
     """
-    return _phase_tableau(circuit)[1]
-
-
-def _phase_tableau(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
-    """(S, Q) of the circuit from one walk: the integer (int64) tableau of
-    :func:`circuit_symplectic` and the phase form of :func:`weyl_phase_form`."""
-    m_modes = circuit.mode_count
-    s = np.eye(2 * m_modes, dtype=np.int64)[None]
-    q = np.zeros((2 * m_modes, 2 * m_modes), dtype=np.int64)
-    for g in circuit.gates:
-        if g.kind in ("F", "Finv"):
-            (k,) = g.modes
-            q -= np.outer(s[0, k], s[0, m_modes + k])
-        _apply_gate_rows(s, g, m_modes)
-    return s[0], q
+    return _tableau_stack(circuit.mode_count, circuit.gates)[1][0]
 
 
 def encoder_images(circuit: Circuit) -> np.ndarray:
@@ -206,20 +198,6 @@ def ancilla_images(encoder: Circuit, ancilla_modes: Sequence[int]) -> list[Nulli
     """Encoder images of the position forms x_a of the given ancilla modes."""
     rows = encoder_images(encoder)
     return [Nullifier(tuple(rows[a, :])) for a in ancilla_modes]
-
-
-def derive_nullifiers(code: "CodeSpec") -> list[Nullifier]:
-    """Encoder images of each ancilla's position form x_a.
-
-    These raw forms may mix x and p on the same mode; see
-    :func:`measurement_basis` for the equivalent basis used by syndrome
-    circuits.
-    """
-    if sorted(code.ancilla_modes) != [
-        m for m in range(code.mode_count) if m != code.logical_mode
-    ]:
-        raise ValueError("ancilla set inconsistent with circuit mode count")
-    return ancilla_images(code.encoder, code.ancilla_modes)
 
 
 def measurement_basis(nullifiers: Sequence[Nullifier], m_modes: int) -> list[Nullifier]:

@@ -69,7 +69,7 @@ from .symplectic import (
     DisplacementError,
     _DecodedStack,
     _code_decoder,
-    _phase_tableau,
+    _tableau_stack,
     omega_matrix,
 )
 from .symplectic import decode_syndrome as _decode
@@ -90,8 +90,11 @@ class MeasurementModel:
 
     kind "exact": reported equals true.  kind "gaussian": additive normal noise
     of standard deviation sigma (position units).  kind "custom": offsets drawn
-    from a finite table.  With repetitions > 1 the collapsed syndrome is re-read
-    with fresh noise and the mean is reported.
+    from a finite table of finite offsets, uniformly or with the given
+    probabilities (finite, >= 0, summing to 1 within ``rng.choice``'s
+    tolerance sqrt(eps)).  With repetitions > 1 the collapsed syndrome is
+    re-read with fresh noise and the mean is reported.  The draws are
+    :func:`_readout_noise`'s.
     """
 
     kind: str
@@ -110,8 +113,17 @@ class MeasurementModel:
         if self.kind == "custom":
             if not self.offsets:
                 raise ValueError("custom model needs a non-empty offset table")
-            if self.probabilities is not None and len(self.probabilities) != len(self.offsets):
-                raise ValueError("probabilities must match offsets")
+            if not all(math.isfinite(o) for o in self.offsets):
+                raise ValueError(f"custom offsets must be finite, got {self.offsets}")
+            if self.probabilities is not None:
+                p = self.probabilities
+                if len(p) != len(self.offsets):
+                    raise ValueError("probabilities must match offsets")
+                if not all(math.isfinite(q) and q >= 0 for q in p):
+                    raise ValueError(f"probabilities must be finite and >= 0, got {p}")
+                # rng.choice's tolerance
+                if abs(math.fsum(p) - 1.0) > math.sqrt(np.finfo(float).eps):
+                    raise ValueError(f"probabilities must sum to 1, got {math.fsum(p)}")
 
     @staticmethod
     def exact() -> "MeasurementModel":
@@ -133,18 +145,6 @@ class MeasurementModel:
             probabilities=None if probabilities is None else tuple(probabilities),
             repetitions=repetitions,
         )
-
-    def sample_noise(self, rng: np.random.Generator) -> float:
-        """One reported-minus-true offset, already averaged over repetitions."""
-        if self.kind == "exact":
-            return 0.0
-        draws = np.empty(self.repetitions)
-        for i in range(self.repetitions):
-            if self.kind == "gaussian":
-                draws[i] = rng.normal(0.0, self.sigma) if self.sigma > 0 else 0.0
-            else:
-                draws[i] = float(rng.choice(self.offsets, p=self.probabilities))
-        return float(draws.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +224,7 @@ def _decoded_frame(
     product of Fourier and Sum matrices, is integer with determinant 1, and
     symplectic, so S = Omega^T (S^-1)^T Omega exactly.
     """
-    s_inv, phase = _phase_tableau(code.encoder.inverse())
+    (s_inv,), (phase,) = _tableau_stack(code.mode_count, code.encoder.inverse().gates)
     omega = omega_matrix(code.mode_count)
     full = forms @ (omega.T @ s_inv.T @ omega)
     anc = list(code.ancilla_modes)
@@ -324,15 +324,16 @@ def _record(
 def _readout_noise(
     model: MeasurementModel, rng: np.random.Generator, k: int
 ) -> np.ndarray | None:
-    """One record's draws for ``k`` values, to be averaged over the last axis:
-    a Gaussian model's (k, repetitions) normals in one ``rng.normal`` call,
-    the ones :meth:`MeasurementModel.sample_noise` makes value by value; a
-    custom model's (k, 1) ``sample_noise`` offsets; None, drawing nothing,
-    for an exact or zero-sigma model."""
+    """One record's (k, repetitions) draws for ``k`` values, to be averaged
+    over the last axis: the package's one readout-noise sampler.  A Gaussian
+    model draws its normals in one ``rng.normal`` call, a custom model its
+    table offsets in one ``rng.choice`` call; both give, value by value, the
+    draws of k records of one value each and leave the generator where those
+    leave it.  None, drawing nothing, for an exact or zero-sigma model."""
     if model.kind == "exact" or (model.kind == "gaussian" and model.sigma == 0):
         return None
     if model.kind == "custom":
-        return np.array([[model.sample_noise(rng)] for _ in range(k)])
+        return rng.choice(model.offsets, p=model.probabilities, size=(k, model.repetitions))
     return rng.normal(0.0, model.sigma, size=(k, model.repetitions))
 
 
@@ -528,8 +529,7 @@ def _decoded_lines(
     ancillae in).
     """
     n, c0, m = grid.n_points, grid.center_index, code.mode_count
-    if not 0 <= error.mode < m:
-        raise GridError(f"mode {error.mode} out of range [0, {m})")
+    _check_error_mode(code, error.mode)
     coeffs, shifts, kicks = _weyl_terms(error, grid)
     v = np.zeros((len(coeffs), 2 * m), dtype=np.int64)
     v[:, error.mode] = np.mod(shifts, n)
@@ -827,6 +827,8 @@ def estimator_gain(code: CodeSpec, error_mode: int) -> float:
 def _estimator_row(code: CodeSpec, error_mode: int) -> np.ndarray:
     """Weights of the readouts in the decoder's e_x estimate for one mode,
     read-only and built once per code object and mode."""
+    _check_error_mode(code, error_mode)
+
     def build() -> np.ndarray:
         forms = np.array(code.readout_forms, dtype=float)
         m = code.mode_count
@@ -835,6 +837,11 @@ def _estimator_row(code: CodeSpec, error_mode: int) -> np.ndarray:
         return row
 
     return code._derived(("estimator_row", error_mode), build)
+
+
+def _check_error_mode(code: CodeSpec, error_mode: int) -> None:
+    if not 0 <= error_mode < code.mode_count:
+        raise GridError(f"mode {error_mode} out of range [0, {code.mode_count})")
 
 
 def residual_shift_distribution(
@@ -851,6 +858,7 @@ def residual_shift_distribution(
     averaged over repetitions; rounding to the grid and folding onto the
     periodic axis happen exactly as the correction step does them.
     """
+    _check_error_mode(code, error_mode)
     if model.kind == "exact":
         return _point_mass(grid)
     return _shift_distribution(_estimator_row(code, error_mode), model, grid)

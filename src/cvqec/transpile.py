@@ -248,8 +248,8 @@ def _candidate_stack(
     # the inverse of the all-Sum circuit: gate i of qc is its gate last - i,
     # and a free XOR's inverse is Sum (+1) where the candidate takes SumInv
     inverse = substitute(qc, [False] * len(xors)).inverse()
-    signs = {last - i: np.where(bits[:, [col]], 1.0, -1.0) for col, i in enumerate(free)}
-    images = _tableau_stack(m, inverse.gates, signs, len(bits))
+    signs = {last - i: np.where(bits[:, [col]], 1, -1) for col, i in enumerate(free)}
+    images = _tableau_stack(m, inverse.gates, signs, len(bits))[0].astype(float)
     raw = images[:, 1:m, :]  # the ancillae's position rows
     bases = _measurement_bases(raw, m)
     syn = np.stack([r if basis is None else basis for r, basis in zip(raw, bases)])

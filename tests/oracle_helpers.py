@@ -313,6 +313,21 @@ def lstsq_decode(code, syndrome, forms=None, modes=None, residual_tol=None):
     return min(equivalent, key=lambda e: e.mode)
 
 
+def sample_noise(model, rng: np.random.Generator) -> float:
+    """Reference for ``syndrome._readout_noise``: one reported-minus-true
+    offset of the measurement model, already averaged over repetitions, one
+    draw at a time."""
+    if model.kind == "exact":
+        return 0.0
+    draws = np.empty(model.repetitions)
+    for i in range(model.repetitions):
+        if model.kind == "gaussian":
+            draws[i] = rng.normal(0.0, model.sigma) if model.sigma > 0 else 0.0
+        else:
+            draws[i] = float(rng.choice(model.offsets, p=model.probabilities))
+    return float(draws.mean())
+
+
 def looped_residual_shift_distribution(gain, sigma, repetitions, n, dx):
     """Reference for ``syndrome.residual_shift_distribution`` under a
     Gaussian model whose estimator row has norm ``gain``: for each residual

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from cvqec import (
     CodeSpec,
     GridSpec,
+    Nullifier,
     UnsupportedCodeError,
     apply_displacement,
     build_braunstein5,
@@ -16,7 +18,7 @@ from cvqec import (
     fidelity,
     get_code,
     make_product_state,
-    measure_position,
+    measure_positions,
     omega_matrix,
     parity_permute,
 )
@@ -84,6 +86,28 @@ def test_get_code_lookup():
     assert get_code("repetition3").name == "repetition3"
     with pytest.raises(UnsupportedCodeError):
         get_code("steane7")
+
+
+def test_codespec_refuses_ancillae_other_than_the_non_logical_modes():
+    code = build_repetition3()
+    for ancillae in ((1,), (0, 1), (2, 1), (1, 2, 3)):
+        with pytest.raises(ValueError, match="ancillae must be exactly the non-logical modes"):
+            replace(code, ancilla_modes=ancillae)
+
+
+def test_codespec_refuses_a_nullifier_count_other_than_m_minus_one():
+    code = build_repetition3()
+    for nullifiers in (code.nullifiers[:1], code.nullifiers + code.nullifiers[:1]):
+        with pytest.raises(ValueError, match="need M - 1 nullifiers"):
+            replace(code, nullifiers=nullifiers)
+
+
+def test_codespec_refuses_dependent_nullifiers():
+    code = build_repetition3()
+    first = code.nullifiers[0]
+    twice = Nullifier(tuple(2 * c for c in first.coeffs))
+    with pytest.raises(ValueError, match="nullifiers are linearly dependent"):
+        replace(code, nullifiers=(first, twice))
 
 
 def test_codespec_serialization():
@@ -234,9 +258,9 @@ def test_shor9_triples_are_position_correlated():
     st = direct_encoded_state(code, grid, 2)
     rng = np.random.default_rng(3)
     for _ in range(5):
-        i0, post = measure_position(st, 0, rng)
-        i1, post = measure_position(post, 1, rng)
-        i2, _ = measure_position(post, 2, rng)
+        (i0,), post = measure_positions(st, (0,), rng)
+        (i1,), post = measure_positions(post, (1,), rng)
+        (i2,), _ = measure_positions(post, (2,), rng)
         assert i0 == i1 == i2
 
 

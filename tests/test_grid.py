@@ -21,7 +21,6 @@ from cvqec import (
     gaussian_kernel,
     load_state,
     make_product_state,
-    measure_position,
     measure_positions,
     position_distribution,
     reduced_density,
@@ -120,10 +119,10 @@ def test_measure_position_deterministic_for_basis_vector():
     g = GridSpec(8, 2)
     st = make_product_state(g, [3, 6])
     rng = np.random.default_rng(0)
-    idx, post = measure_position(st, 1, rng)
+    (idx,), post = measure_positions(st, (1,), rng)
     assert idx == 6
     assert fidelity(post, st) == pytest.approx(1.0)
-    idx2, _ = measure_position(post, 1, rng)
+    (idx2,), _ = measure_positions(post, (1,), rng)
     assert idx2 == idx  # projection idempotence
 
 
@@ -151,7 +150,7 @@ def test_measure_position_samples_like_rng_choice(n, m, mode_pick, state_seed, r
     state = MultiModeState(GridSpec(n, m), tensor)
     probs = position_distribution(state, mode)
     ours, theirs = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
-    idx, post = measure_position(state, mode, ours)
+    (idx,), post = measure_positions(state, (mode,), ours)
     assert idx == int(theirs.choice(n, p=probs / probs.sum()))
     assert ours.random() == theirs.random()
     assert post.norm() == pytest.approx(1.0)
@@ -198,7 +197,7 @@ def test_measure_after_sum_reads_the_sum():
     g = GridSpec(8, 2)
     st = make_product_state(g, [5, 6])  # a = 1 dx, b = 2 dx
     out = apply_gate(st, sum_gate(0, 1))
-    idx, _ = measure_position(out, 1, np.random.default_rng(1))
+    (idx,), _ = measure_positions(out, (1,), np.random.default_rng(1))
     assert idx == 7  # a + b = 3 dx
 
 

@@ -22,7 +22,6 @@ from cvqec import (
     check_correctability,
     circuit_symplectic,
     decode_syndrome,
-    derive_nullifiers,
     direct_encoded_state,
     fidelity,
     form_value_distribution,
@@ -210,16 +209,6 @@ def test_shor9_nullifier_structure():
     assert len(pos_rows) == 6 and len(mom_rows) == 2
     for r in mom_rows:
         assert np.sum(np.abs(r)) == 6  # triple-sum differences
-
-
-def test_derive_nullifiers_validates_ancillae():
-    code = build_repetition3()
-    bad = type("Fake", (), {
-        "mode_count": 3, "encoder": code.encoder,
-        "logical_mode": 0, "ancilla_modes": (1,),
-    })()
-    with pytest.raises(ValueError):
-        derive_nullifiers(bad)
 
 
 def test_measurement_basis_rejects_unfriendly_span():

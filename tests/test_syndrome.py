@@ -47,6 +47,7 @@ from oracle_helpers import (
     displaced_line_fidelities,
     looped_residual_shift_distribution,
     rolled_decoherence_prediction,
+    sample_noise,
     trial_fields,
 )
 from cvqec.symplectic import encoder_images, weyl_phase_form
@@ -91,7 +92,7 @@ def test_gaussian_noise_scales_with_repetitions():
     sigma = 0.7
     for reps in (1, 4):
         model = MeasurementModel.gaussian(sigma, repetitions=reps)
-        draws = np.array([model.sample_noise(rng) for _ in range(20000)])
+        draws = syndrome_module._readout_noise(model, rng, 20000).mean(axis=-1)
         se = sigma / np.sqrt(reps) / np.sqrt(2 * len(draws))
         assert abs(draws.std() - sigma / np.sqrt(reps)) < 3 * 10 * se
         assert abs(draws.mean()) < 3 * sigma / np.sqrt(reps * len(draws))
@@ -100,9 +101,64 @@ def test_gaussian_noise_scales_with_repetitions():
 def test_custom_model_draws_from_table():
     rng = np.random.default_rng(1)
     model = MeasurementModel.custom([0.5, -0.5], probabilities=[0.8, 0.2])
-    draws = np.array([model.sample_noise(rng) for _ in range(5000)])
+    draws = syndrome_module._readout_noise(model, rng, 5000).mean(axis=-1)
     assert set(np.unique(draws)) == {-0.5, 0.5}
     assert abs((draws == 0.5).mean() - 0.8) < 0.03
+
+
+BAD_TABLES = {
+    "probabilities summing to 1.1": ([0.5, -0.5], [0.5, 0.6], "sum to 1"),
+    "probabilities summing to 1 + 1e-7": ([0.5, -0.5], [0.5, 0.5 + 1e-7], "sum to 1"),
+    "negative probability": ([0.5, -0.5], [-0.5, 1.5], "finite and >= 0"),
+    "nan probability": ([0.5, -0.5], [float("nan"), 1.0], "finite and >= 0"),
+    "nan offset": ([float("nan"), 0.5], None, "offsets must be finite"),
+    "inf offset": ([0.5, float("-inf")], [0.5, 0.5], "offsets must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_TABLES))
+def test_custom_model_refuses_a_table_its_sampler_cannot_draw(case):
+    offsets, probabilities, message = BAD_TABLES[case]
+    with pytest.raises(ValueError, match=message):
+        MeasurementModel.custom(offsets, probabilities)
+
+
+def test_custom_model_accepts_probabilities_within_the_choice_tolerance():
+    # [0.1] * 10 sums to 1 - 1.1e-16, and 1e-9 is inside sqrt(eps)
+    for probabilities in ([0.1] * 10, [0.5, 0.5 + 1e-9]):
+        offsets = np.arange(len(probabilities)) * 0.25
+        model = MeasurementModel.custom(offsets, probabilities)
+        draws = syndrome_module._readout_noise(model, np.random.default_rng(0), 4)
+        assert draws.shape == (4, 1)
+        assert set(draws.ravel()) <= set(offsets)
+
+
+CUSTOM_TABLES = [
+    ((0.5, -0.5), None),
+    ((-0.75, -0.25, 0.0, 0.5, 1.25), None),
+    ((0.5, -0.5), (0.8, 0.2)),
+    ((-0.75, -0.25, 0.0, 0.5, 1.25), (0.1, 0.2, 0.3, 0.15, 0.25)),
+]
+
+
+@pytest.mark.parametrize("offsets, probabilities", CUSTOM_TABLES)
+def test_readout_noise_draws_the_per_value_oracle(offsets, probabilities):
+    """A custom model's one ``rng.choice`` call gives, byte for byte, the
+    means of k value-by-value oracle draws and leaves the generator at the
+    same next double, on the sweeps' Philox streams and on PCG64."""
+    from cvqec.experiments import trial_rng
+
+    for reps in (1, 2, 3, 8, 9, 17):
+        model = MeasurementModel.custom(offsets, probabilities, reps)
+        for k in (1, 2, 4, 8):
+            for seed in range(25):
+                for make in (np.random.default_rng, lambda s: trial_rng(s, 1, 2)):
+                    fast, slow = make(seed), make(seed)
+                    drawn = syndrome_module._readout_noise(model, fast, k)
+                    assert drawn.shape == (k, reps)
+                    expected = np.array([sample_noise(model, slow) for _ in range(k)])
+                    assert drawn.mean(axis=-1).tobytes() == expected.tobytes()
+                    assert fast.random() == slow.random()
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +863,7 @@ def test_record_draws_the_noise_of_the_per_value_loop(seed, k, repetitions, sigm
     true_vals = np.random.default_rng(seed).integers(-8, 9, size=k) * 0.25
     fast, slow = trial_rng(seed, 1, 2), trial_rng(seed, 1, 2)
     record = syndrome_module._record(true_vals, model, fast, plan)
-    expected = np.array([v + model.sample_noise(slow) for v in true_vals])
+    expected = np.array([v + sample_noise(model, slow) for v in true_vals])
     assert record.reported_values.tobytes() == expected.tobytes()
     assert fast.random() == slow.random()  # the streams stay in step
 
@@ -1042,6 +1098,19 @@ def test_prediction_custom_asymmetric_table_mixes_shifts():
 
 def test_estimator_gain_for_repetition_difference_readouts():
     assert estimator_gain(build_repetition3(), 0) == pytest.approx(1 / np.sqrt(2))
+
+
+@pytest.mark.parametrize("mode", [-1, 3, 9])
+def test_analytic_layer_refuses_an_error_mode_outside_the_code(mode):
+    code, grid, psi = build_repetition3(), GridSpec(16, 1), eigenstate(16, 8)
+    message = rf"mode {mode} out of range \[0, 3\)"
+    with pytest.raises(GridError, match=message):
+        estimator_gain(code, mode)
+    for model in (MeasurementModel.gaussian(0.3), MeasurementModel.exact()):
+        with pytest.raises(GridError, match=message):
+            residual_shift_distribution(code, model, grid, mode)
+        with pytest.raises(GridError, match=message):
+            decoherence_prediction(psi, model, code, grid, error_mode=mode)
 
 
 def test_residual_distribution_sums_to_one_and_tightens_with_repetitions():
