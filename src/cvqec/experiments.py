@@ -11,13 +11,15 @@ table (the decoded lines and their masses) and runs every sigma's trials
 through the table as one stream, sigma by sigma, drawn from one re-keyed
 generator.  Per trial only the draws run in Python; each chunk of trials,
 which may span sigmas, finds its outcomes with one ``searchsorted``, decodes
-its noisy records as one stack while its noise-free ones index the decodes
-of every outcome's exact record, and reads each (outcome, correction) pair's
+its noisy records in one stack while its noise-free ones index the decodes
+of every outcome's exact record (decoded once, in the stack of the first
+chunk that needs them), and reads each (outcome, correction) pair's
 fidelities, computed once per sweep.  Each column's per-sigma means and
 standard deviations come from one reduction over the (sigmas, trials) array,
 and the analytic column computes what its sigmas share (psi's shifted
-copies) once.  The rows and CSV bytes are those of running every trial on a
-table of its own and aggregating each sigma alone.
+copies) once and sums each sigma's mixture on psi's support alone.  The rows
+and CSV bytes are those of running every trial on a table of its own and
+aggregating each sigma alone.
 
 Trials are independent; each draws its random stream from (seed, sigma index,
 trial index), the :func:`trial_rng` stream, which a sweep reads from one

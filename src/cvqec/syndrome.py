@@ -38,6 +38,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -108,6 +109,8 @@ class MeasurementModel:
             raise ValueError(f"unknown measurement model kind {self.kind!r}")
         if not math.isfinite(self.sigma) or self.sigma < 0:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if isinstance(self.repetitions, bool) or not isinstance(self.repetitions, numbers.Integral):
+            raise ValueError(f"repetitions must be an integer, got {self.repetitions!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.kind == "custom":
@@ -411,8 +414,13 @@ def correct(
 def _grid_steps(shift: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The corrections of inferred (e_x, e_p) pairs, the last axis of
     ``shift``, in whole grid steps -rint(e / dx): (step_x, step_p, whether
-    the correction moves anything)."""
-    steps = -np.rint(shift / dx).astype(np.int64)
+    the correction moves anything).  Refuses |e / dx| >= 2**53, where
+    neighbouring steps are no longer distinct doubles, and a NaN."""
+    steps = shift / dx
+    if not np.all(np.abs(steps) < 2.0**53):
+        raise GridError(f"inferred displacement of {np.max(np.abs(steps)):.3g} grid steps "
+                        "is too large to round to a grid step (limit 2**53)")
+    steps = -np.rint(steps).astype(np.int64)
     step_x, step_p = steps[..., 0], steps[..., 1]
     return step_x, step_p, (step_x != 0) | (step_p != 0)
 
@@ -686,11 +694,12 @@ class _OutcomeTable:
     ancillae are back at zero; each (tuple, correction) pair's fidelities are
     computed once.  :meth:`trials` runs a stream of trials, under one model
     or one model per trial (a whole sweep), in chunks: only the draws are
-    per trial, and each chunk's noisy records decode as one stack
+    per trial, and each chunk makes one decode call
     (``symplectic._StackDecoder``, whose rows decode to the bits
     :func:`cvqec.symplectic.decode_syndrome` gives them alone).  Every
-    tuple's exact record is decoded once, in one stack, when a trial whose
-    model draws no noise first needs it, and such trials index it.  A
+    tuple's exact record is decoded once, in the stack of the chunk whose
+    noise-free trial first needs it, and such trials index it.  Each
+    outcome's logical line is normalized once, for every correction.  A
     one-mode ``grid`` serves any code: only N and dx are read.
     """
 
@@ -708,6 +717,7 @@ class _OutcomeTable:
         self.decoder = _code_decoder(code, plan.forms, decode_modes, float("inf"))
         # row t: the decode of tuple t's exact record
         self.noise_free_decodes: _DecodedStack | None = None
+        self.unit_lines: dict[int, np.ndarray] = {}
         self.fidelities: dict[tuple, tuple[float, float]] = {}
 
     def trial(
@@ -733,7 +743,8 @@ class _OutcomeTable:
         share one shape (one repetitions count), average them in one call as
         :func:`_record` averages one record's, and decode as one stack; its
         trials whose model draws nothing index the decodes of every tuple's
-        exact record, made once per table."""
+        exact record, made once per table, in the noisy rows' stack of the
+        chunk that first needs them."""
         if isinstance(models, MeasurementModel):
             models = itertools.repeat(models)
         draws = zip(models, rngs)
@@ -751,17 +762,24 @@ class _OutcomeTable:
             # _draw_outcome for every double at once
             outcome = np.searchsorted(self.cum, np.array(doubles) * self.cum[-1], side="right")
             true_values = self.true_values[outcome]
+            reported = true_values + 0.0
+            if noisy:
+                reported[noisy] = true_values[noisy] + np.array(noise).mean(axis=-1)
             if len(noisy) == len(doubles):
-                reported = true_values + np.array(noise).mean(axis=-1)
                 decoded = self.decoder.decode(reported)
             else:
-                reported = true_values + 0.0
                 if self.noise_free_decodes is None:
-                    self.noise_free_decodes = self.decoder.decode(self.true_values + 0.0)
+                    # every tuple's exact record, in one stack with the noisy rows
+                    exact = self.true_values + 0.0
+                    rows = np.concatenate([exact, reported[noisy]]) if noisy else exact
+                    both = self.decoder.decode(rows)
+                    self.noise_free_decodes = both.take(slice(len(exact)))
+                    fresh = both.take(slice(len(exact), None))
+                elif noisy:
+                    fresh = self.decoder.decode(reported[noisy])
                 decoded = self.noise_free_decodes.take(outcome)
                 if noisy:
-                    reported[noisy] = true_values[noisy] + np.array(noise).mean(axis=-1)
-                    decoded.put(noisy, self.decoder.decode(reported[noisy]))
+                    decoded.put(noisy, fresh)
             yield self._corrected(outcome, true_values, reported, decoded)
 
     def _corrected(
@@ -770,8 +788,11 @@ class _OutcomeTable:
     ) -> _TrialBatch:
         """The chunk's corrections, in whole grid steps (:func:`_grid_steps`),
         and the fidelities of each distinct (tuple, correction) pair."""
-        step_x, step_p, moves = _grid_steps(decoded.shift, self.grid.dx)
-        applied = (decoded.failure == _DECODED) & moves
+        found = decoded.failure == _DECODED
+        # correct() rounds only a decoded shift
+        step_x, step_p, moves = _grid_steps(
+            np.where(found[:, None], decoded.shift, 0.0), self.grid.dx)
+        applied = found & moves
         fids = []
         for t, apply, mode, sx, sp in zip(outcome.tolist(), applied.tolist(),
                                           decoded.mode.tolist(), step_x.tolist(),
@@ -789,14 +810,16 @@ class _OutcomeTable:
         self, t: int, mode: int | None = None, step_x: int = 0, step_p: int = 0
     ) -> tuple[float, float]:
         """(post-correction fidelity, logical fidelity) of outcome ``t``, the
-        normalized logical line times the ancilla tuple, after shifting
-        ``mode`` by ``step_x`` points and kicking it by ``step_p`` dx (None:
-        no correction)."""
+        normalized logical line (normalized once per outcome) times the
+        ancilla tuple, after shifting ``mode`` by ``step_x`` points and
+        kicking it by ``step_p`` dx (None: no correction)."""
         # the projected decoded state is logical (x) |ancillae>; the correction
         # moves both factors, and its kicks on the ancillae are global phases
         code, grid, ancillae = self.code, self.grid, self.tuples[t]
         lm, m, n = code.logical_mode, code.mode_count, grid.n_points
-        line = _renormalized(self.lines[t])
+        line = self.unit_lines.get(t)
+        if line is None:
+            line = self.unit_lines[t] = _renormalized(self.lines[t])
         if mode is not None:
             d = self.plan.decoded_shift[:, [mode, m + mode]] @ np.array([step_x, step_p])
             # apply_displacement on the line, kick then shift, as one gather:
@@ -929,11 +952,19 @@ def decoherence_prediction(
 ) -> np.ndarray:
     """Analytic logical density matrix after a noise-limited correction.
 
-    The corrected state is a mixture of grid-shifted copies of the input,
-    rho(u, u') = sum_z p(z) psi(u + z) conj(psi(u' + z)), with p the residual
-    shift distribution induced by the measurement noise through the decoder.
-    A delta-like model returns the pure input projector; noise wide compared to
-    the wavefunction's coherence length suppresses the off-diagonal terms.
+    The corrected state is a mixture of displaced copies of the input,
+    rho = sum_z p(z) |psi_z><psi_z|, with p the residual shift distribution
+    induced by the measurement noise through the decoder and psi_z the input
+    moved by that residual as the decoded frame carries it to the logical
+    line (:func:`_logical_frame`): on repetition3's mode 0 a residual of z
+    points shifts the line, psi_z(u) = psi(u + z); on its modes 1 and 2 it
+    moves only an ancilla, leaving the pure input projector; on braunstein5's
+    and shor9's kicked modes it kicks the line.  A delta-like model returns
+    the pure projector too; noise wide compared to the wavefunction's
+    coherence length suppresses the off-diagonal terms.  The residual of the
+    decoder's momentum estimate is not modelled.  The matrix is
+    :func:`_shift_mixtures`' sum over all N rows and columns, one N x N term
+    at a time for N >= 32.
     """
     if code is None:
         code = build_repetition3()
@@ -942,7 +973,17 @@ def decoherence_prediction(
         grid = GridSpec(len(psi), 1)
     _check_matrix_budget(grid.n_points)
     p = residual_shift_distribution(code, model, grid, error_mode)
-    return next(_shift_mixtures(psi, p[None], grid))
+    return next(_shift_mixtures(psi, p[None], grid, _logical_frame(code, error_mode)))
+
+
+def _logical_frame(code: CodeSpec, error_mode: int) -> tuple[int, int]:
+    """(c, d): per point of position the correction leaves on ``error_mode``,
+    the decoded frame shifts the logical line by c points and kicks it by
+    d dx (rows logical and M + logical of the mode's S^-1 column).  (1, 0)
+    for repetition3's mode 0, (0, 0) for its modes 1 and 2, (0, -1) for
+    braunstein5's mode 0."""
+    m, lm, s_inv = code.mode_count, code.logical_mode, _code_plan(code).decoded_shift
+    return int(s_inv[lm, error_mode]), int(s_inv[m + lm, error_mode])
 
 
 def _predicted_logical_fidelities(
@@ -951,38 +992,92 @@ def _predicted_logical_fidelities(
 ) -> list[float]:
     """psi^dag rho psi for the :func:`decoherence_prediction` rho of each
     model, bit for bit, with what the models share computed once: the
-    estimator row and psi's shifted copies."""
+    estimator row and psi's displaced copies.  Each rho is summed on the rows
+    and columns where psi is nonzero alone, zero elsewhere: the entries left
+    out meet only exact zeros of psi^dag or psi, and the full-length products
+    group as BLAS grouped them, so the sum keeps its bits (never 0: a
+    Gaussian always weighs shift 0) at |supp psi|^2 rather than N^2 per
+    term."""
     _check_matrix_budget(grid.n_points)
     row = _estimator_row(code, error_mode)
     dists = np.array([_shift_distribution(row, model, grid) for model in models])
     bra = psi.conj()
-    return [float(np.real(bra @ rho @ psi)) for rho in _shift_mixtures(psi, dists, grid)]
+    frame = _logical_frame(code, error_mode)
+    return [float(np.real(bra @ rho @ psi))
+            for rho in _shift_mixtures(psi, dists, grid, frame, psi.nonzero()[0])]
+
+
+#: amplitudes per pass of :func:`_shift_mixtures`' stacked terms: an
+#: eigenstate's or a two-peak input's terms take a pass or a few, and a block
+#: of 32 x 32 or more takes one term a pass
+_MIXTURE_PASS = 1024
 
 
 def _shift_mixtures(
-    psi: np.ndarray, weights: np.ndarray, grid: GridSpec
+    psi: np.ndarray, weights: np.ndarray, grid: GridSpec, frame: tuple[int, int],
+    support: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """Per row p of the (S, N) ``weights``, one at a time, the mixture of
-    psi's grid-shifted copies psi_k = np.roll(psi, -(k - N/2)) (the
-    correction of an estimate off by k - N/2 points subtracts it): each
-    nonzero p[k] * np.outer(psi_k, psi_k.conj()) added to a zero matrix in k
-    order, one term at a time through one reused buffer.  The copies any
-    row weighs are gathered once for all rows."""
+    psi's displaced copies psi_k: the correction of an estimate off by
+    z = k - N/2 points subtracts it, which the decoded ``frame`` (c, d) of
+    :func:`_logical_frame` turns into a kick of -d z dx and a shift of -c z
+    points, psi_k(u) = psi(u + c z) kick_phase(-d z dx)(u + c z)
+    (np.roll(psi, -z) for repetition3's mode 0).  Each nonzero
+    p[k] * np.outer(psi_k, psi_k.conj()) is added to a zero matrix in k
+    order, on the rows and columns of the sorted index array ``support``
+    alone (default: all N), with zeros elsewhere.
+
+    The cost is |support|^2 per term.  A pass stacks the terms of at most
+    ``_MIXTURE_PASS`` amplitudes: one multiply forms their outer products,
+    one scales them by the complex weights p[k] + 0j, as ``term *= p[k]``
+    scales one term, and one accumulate adds them to the block in k order,
+    so every entry keeps the bits of the one-term-at-a-time sum.  A block
+    with more amplitudes than that (a dense psi at N >= 32) runs that sum,
+    one term at a time through one reused buffer.  The copies any row weighs
+    are gathered once, on the support, for all rows."""
     n, c0 = grid.n_points, grid.center_index
     if len(psi) != n:
         raise GridError(f"wavefunction length {len(psi)} != grid size {n}")
-    # row i of ``shifted`` is psi_k for the i-th k that some row of weights has
+    c, d = frame
+    # row i of ``shifted``: psi_k on the support, for the i-th k some row weighs
     (ks,) = np.nonzero(weights.any(axis=0))
-    shifted = psi[np.mod(np.arange(n) + (ks - c0)[:, None], n)]
+    rows = np.arange(n) if support is None else support
+    shifted = psi[np.mod(rows + c * (ks - c0)[:, None], n)]
+    if d:  # each copy's kick phase at its source points
+        shifted *= [kick_phase(grid, -d * z * grid.dx)[np.mod(rows + c * z, n)]
+                    for z in (ks - c0).tolist()]
     conj = shifted.conj()
-    term = np.empty((n, n), dtype=np.complex128)
+    s = len(rows)
+    block_at = None if s == n else np.ix_(rows, rows)
+    # a dense psi holds no index array beside its two N x N buffers
+    del rows, support
+    per_pass = max(1, min(len(ks), _MIXTURE_PASS // max(1, s * s)))
+    stack = np.empty((per_pass, s, s), dtype=np.complex128)
     for p in weights[:, ks]:
-        rho = np.zeros((n, n), dtype=np.complex128)
-        for i in np.flatnonzero(p):
-            np.multiply(shifted[i, :, None], conj[i, None, :], out=term)
-            term *= p[i]
-            rho += term
-        yield rho
+        block = np.zeros((s, s), dtype=np.complex128)
+        (nonzero,) = p.nonzero()
+        if per_pass == 1:
+            term = stack[0]
+            for i in nonzero:
+                np.multiply(shifted[i, :, None], conj[i, None, :], out=term)
+                term *= p[i]
+                block += term
+        else:
+            weight = p.astype(np.complex128)
+            for start in range(0, len(nonzero), per_pass):
+                i = nonzero[start:start + per_pass]
+                terms = stack[:len(i)]
+                np.multiply(shifted[i, :, None], conj[i, None, :], out=terms)
+                terms *= weight[i, None, None]
+                terms[0] += block
+                np.add.accumulate(terms, axis=0, out=terms)
+                block[...] = terms[-1]
+        if block_at is None:
+            yield block
+        else:
+            rho = np.zeros((n, n), dtype=np.complex128)
+            rho[block_at] = block
+            yield rho
 
 
 def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:

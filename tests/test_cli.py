@@ -408,6 +408,19 @@ def test_out_of_range_error_mode_in_sweep_config_is_usage_error(tmp_path, capsys
     assert not out.exists() and not trials.exists()
 
 
+def test_sweep_noise_too_wide_to_round_is_usage_error(tmp_path, capsys):
+    # 1e19 dx of readout noise infers shifts past 2**53 grid steps; the
+    # int64 cast used to warn, and the sweep printed logical fidelity 0
+    path, out, trials = tmp_path / "wide.json", tmp_path / "s.csv", tmp_path / "t.csv"
+    path.write_text(json.dumps({**SMALL_SWEEP, "sigmas": [1e19]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["sweep", "--config", str(path), "--out", str(out),
+                        "--trials-out", str(trials)]) == 2
+    assert "too large to round to a grid step (limit 2**53)" in capsys.readouterr().err
+    assert not out.exists() and not trials.exists()
+
+
 def test_empty_decode_modes_in_sweep_config_is_usage_error(tmp_path, capsys):
     # the config accepts [] as a list of ints; the decode refuses it
     path, out, trials = tmp_path / "modes.json", tmp_path / "s.csv", tmp_path / "t.csv"

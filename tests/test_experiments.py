@@ -404,6 +404,77 @@ def test_noise_free_sweep_decodes_each_outcome_once(monkeypatch):
     assert 1 < len(decoded) == len(set(decoded)) < config.trials
 
 
+@pytest.mark.parametrize("sigmas", [[0.0], [0.0, 1.0], [1.0, 2.0]])
+def test_sweep_chunk_decodes_in_one_call(monkeypatch, sigmas):
+    # a chunk's noisy records decode in one stack with every outcome's exact
+    # record when a noise-free trial first needs those
+    config = SweepConfig(code="repetition3", grid_n=32, sigmas=sigmas, trials=40, seed=6,
+                         decode_modes=[0])
+    want = _sweep_bytes(config)
+    calls = []
+    decode = symplectic._StackDecoder.decode
+
+    def counted(self, syndromes):
+        calls.append(len(syndromes))
+        return decode(self, syndromes)
+
+    monkeypatch.setattr(symplectic._StackDecoder, "decode", counted)
+    assert _sweep_bytes(config) == want
+    noisy = sum(s > 0 for s in sigmas) * config.trials
+    exact = 1 if 0.0 in sigmas else 0  # a displacement error has one outcome
+    assert calls == [exact + noisy]
+
+
+def test_sweep_normalizes_each_outcome_line_once(monkeypatch):
+    # one displacement error, one outcome: its unit line serves every
+    # correction the noisy decodes pick
+    config = SweepConfig(code="repetition3", grid_n=32, sigmas=[0.5, 1.0, 2.0], trials=100,
+                         seed=4, logical={"kind": "two_peak", "separation": 8},
+                         decode_modes=[0])
+    want = _sweep_bytes(config)
+    lines, pairs = [], []
+    renormalized = syndrome._renormalized
+    fidelities = syndrome._OutcomeTable._corrected_fidelities
+    monkeypatch.setattr(syndrome, "_renormalized",
+                        lambda kept: lines.append(1) or renormalized(kept))
+    monkeypatch.setattr(syndrome._OutcomeTable, "_corrected_fidelities",
+                        lambda self, *key: pairs.append(key) or fidelities(self, *key))
+    assert _sweep_bytes(config) == want
+    assert len(pairs) > 3 and len(lines) == 1
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+def test_sweep_column_for_an_ancilla_mode_error_matches_its_trials(mode):
+    # correcting repetition3's mode 1 or 2 moves only an ancilla in the
+    # decoded frame, so every trial keeps logical fidelity 1; the column
+    # used to shift the logical line by the residual (0.843 at 0.5 dx)
+    config = SweepConfig(code="repetition3", grid_n=32, sigmas=[0.5, 1.0, 2.0], trials=300,
+                         seed=8, error={"kind": "displacement", "mode": mode, "shift": 3},
+                         logical={"kind": "two_peak", "separation": 8}, decode_modes=[mode])
+    for row in experiments.run_sweep(config):
+        assert row.mean_logical_fidelity == pytest.approx(1.0, abs=1e-12)
+        assert row.analytic_logical_fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+def test_kicked_mode_prediction_matches_its_trials():
+    # shor9's decoded frame turns a position residual on mode 3 into a
+    # logical kick; as a shifted mixture the prediction read 0.683 at 0.5 dx
+    config = SweepConfig(code="shor9", grid_n=8, sigmas=[0.5, 1.0], trials=2000, seed=5,
+                         logical={"kind": "two_peak", "separation": 2},
+                         error={"kind": "displacement", "mode": 3, "shift": 2},
+                         decode_modes=[3])
+    code, grid = codes.get_code("shor9"), GridSpec(8, 1)
+    psi = logical_wavefunction(config.logical, grid)
+    for row in experiments.run_sweep(config):
+        rho = syndrome.decoherence_prediction(psi, syndrome.MeasurementModel.gaussian(row.sigma),
+                                              code, grid, 3)
+        predicted = float(np.real(psi.conj() @ rho @ psi))
+        # five standard errors of the widest [0, 1]-valued trial with that mean
+        bound = 5 * math.sqrt(predicted * (1 - predicted) / config.trials)
+        assert 0.5 < predicted < 0.9
+        assert abs(row.mean_logical_fidelity - predicted) < bound
+
+
 def _dense_stage_rows(config: SweepConfig) -> list[experiments.SweepRow]:
     """``run_sweep``'s rows from the dense public stages, composed per trial
     and aggregated the way the benchmark's ``rep3-sweep`` replay does it:

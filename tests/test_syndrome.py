@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,22 @@ def test_model_validation():
         MeasurementModel.gaussian(1.0, repetitions=0)
     with pytest.raises(ValueError):
         MeasurementModel.custom([])
+
+
+@pytest.mark.parametrize("reps", [2.5, 2.0, True, False, "2", None])
+def test_model_refuses_a_repetition_count_that_is_not_an_integer(reps):
+    # 2.5 used to give a plausible distribution scaled by sqrt(2.5), and a
+    # numpy error only when a trial drew its noise
+    for build in (lambda: MeasurementModel.gaussian(1.0, repetitions=reps),
+                  lambda: MeasurementModel.custom([0.1, -0.1], repetitions=reps)):
+        with pytest.raises(ValueError, match="repetitions must be an integer"):
+            build()
+
+
+def test_model_takes_any_integral_repetition_count():
+    assert MeasurementModel.gaussian(1.0, repetitions=np.int64(3)).repetitions == 3
+    with pytest.raises(ValueError, match="repetitions must be >= 1"):
+        MeasurementModel.gaussian(1.0, repetitions=np.int32(0))
 
 
 def test_gaussian_noise_scales_with_repetitions():
@@ -367,6 +384,21 @@ def test_correct_flags_inconsistent_record_in_strict_mode():
     result = correct(post, code, record, strict=True)
     assert not result.applied
     assert "residual" in result.reason
+
+
+@pytest.mark.parametrize("steps", [1e19, -1e19, 2.0**54])
+def test_correct_refuses_a_shift_too_large_to_round_to_a_grid_step(steps):
+    # rint no longer separates neighbouring steps from 2**53 on, and the
+    # int64 cast of 1e19 steps used to warn and wrap
+    code, grid = build_repetition3(), GridSpec(16, 3)
+    record, post = extract_syndrome(encode(eigenstate(16, 8), code, grid), code,
+                                    MeasurementModel.exact(), np.random.default_rng(0))
+    shift = np.array([1.0, 0.0, -1.0]) * grid.dx  # one point on mode 0
+    record.reported_values = shift * steps
+    with pytest.raises(GridError, match=r"too large to round to a grid step \(limit 2\*\*53\)"):
+        correct(post, code, record)
+    record.reported_values = shift * math.copysign(2.0**52, steps)
+    assert correct(post, code, record).applied
 
 
 NOT_APPLIED = {
@@ -1183,23 +1215,92 @@ def test_erf_is_exactly_one_wherever_the_distribution_skips_it():
     assert all(math.erf(x) == math.copysign(1.0, x) for x in far)
     assert all(math.erf(-x) == -math.copysign(1.0, x) for x in far)
 
-@pytest.mark.parametrize("n", [8, 32, 64])
+def signed_sparse(n):
+    """Three nonzero amplitudes (one negative, one purely imaginary, one
+    complex, fewer where N is small) on signed zeros of every sign pair."""
+    psi = np.full(n, complex(-0.0, 0.0))
+    psi[1::2] = complex(0.0, -0.0)
+    psi[2::3] = complex(-0.0, -0.0)
+    psi[0] = -0.6
+    psi[n // 2] = 0.8j
+    psi[-3 % n] = -0.3 - 0.1j if n > 3 else psi[-3 % n]
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("n", [2, 8, 32, 64, 256])
 def test_sweep_predictions_equal_one_decoherence_prediction_per_model(n):
-    # a sweep computes its analytic column for every sigma at once
+    # a sweep computes its analytic column for every sigma at once, summing
+    # each rho on psi's support alone; decoherence_prediction sums all N^2
     rng = np.random.default_rng(n)
     grid = GridSpec(n, 1)
     dense = rng.normal(size=n) + 1j * rng.normal(size=n)
     dense[1] = complex(-0.0, 0.0)
     dense /= np.linalg.norm(dense)
     models = [MeasurementModel.gaussian(s * grid.dx, reps)
-              for s in (0.0, 0.3, 1.0, 4.0) for reps in (1, 3)]
-    for psi in (eigenstate(n, n // 2 + 1), two_peak(n, n // 4), dense):
+              for s in (0.0, 1e-300, 0.3, 1.0, 4.0, 50.0, 1e6) for reps in (1, 3)]
+    inputs = [eigenstate(n, (n // 2 + 1) % n), two_peak(n, n // 4), signed_sparse(n), dense]
+    if n > 4:  # signed zeros of both parts beside the three amplitudes
+        assert np.signbit(inputs[2][inputs[2] == 0].real).any()
+        assert np.signbit(inputs[2][inputs[2] == 0].imag).any()
+    for psi in inputs:
         for code, mode in ((build_repetition3(), 0), (build_repetition3(), 2),
-                           (build_braunstein5(), 3)):
+                           (build_braunstein5(), 3), (build_braunstein5(), 0)):
             want = [float(np.real(psi.conj() @ decoherence_prediction(psi, m, code, grid, mode)
-                                  @ psi)) for m in models]
+                                  @ psi)).hex() for m in models]
             got = syndrome_module._predicted_logical_fidelities(psi, models, code, grid, mode)
-            assert got == want
+            assert [v.hex() for v in got] == want
+
+
+def test_dense_mixture_peaks_at_two_matrices():
+    # a dense psi sums one N x N term at a time through one reused buffer:
+    # the result and that buffer, plus the gathered shifted copies
+    n = 1024
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi /= np.linalg.norm(psi)
+    grid, code = GridSpec(n, 1), build_repetition3()
+    model = MeasurementModel.gaussian(grid.dx)
+    bound = 2 * n * n * np.dtype(np.complex128).itemsize + 2**20
+    for run in (lambda: decoherence_prediction(psi, model, code, grid),
+                lambda: syndrome_module._predicted_logical_fidelities(psi, [model], code, grid, 0)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n * n * 16 < peak <= bound
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+def test_prediction_for_an_ancilla_mode_error_is_the_pure_projector(mode):
+    # the decoded frame moves only an ancilla when repetition3's mode 1 or 2
+    # is corrected, so no residual reaches the logical line
+    code, grid, psi = build_repetition3(), GridSpec(32, 1), two_peak(32, 8)
+    pure = np.outer(psi, psi.conj())
+    peaks = (grid.center_index - 4, grid.center_index + 4)  # the coherence entry
+    for sigma_dx in (0.5, 1.0, 2.0):
+        model = MeasurementModel.gaussian(sigma_dx * grid.dx)
+        rho = decoherence_prediction(psi, model, code, grid, mode)
+        assert np.max(np.abs(rho - pure)) < 1e-15
+        assert rho[peaks] != 0
+        moved = decoherence_prediction(psi, model, code, grid, 0)
+        assert abs(moved[peaks]) < abs(pure[peaks])
+
+
+@pytest.mark.parametrize("code, mode", [(build_braunstein5(), 0), (build_shor9(), 3)])
+def test_prediction_for_a_kicked_mode_mixes_kicked_copies(code, mode):
+    # the decoded frame turns a residual of z points on these modes into a
+    # logical kick of -z dx, which keeps psi's support
+    grid, psi = GridSpec(16, 1), two_peak(16, 4)
+    model = MeasurementModel.gaussian(0.5 * grid.dx)
+    p = residual_shift_distribution(code, model, grid, mode)
+    copies = [(pk, psi * grid_module.kick_phase(grid, -(k - grid.center_index) * grid.dx))
+              for k, pk in enumerate(p) if pk]
+    want = sum(pk * np.outer(c, c.conj()) for pk, c in copies)
+    rho = decoherence_prediction(psi, model, code, grid, mode)
+    assert np.max(np.abs(rho - want)) < 1e-15
+    assert not rho[psi == 0].any() and not rho[:, psi == 0].any()
 
 
 def test_decoherence_prediction_refuses_a_wavefunction_of_another_length():
