@@ -958,13 +958,14 @@ def decoherence_prediction(
     moved by that residual as the decoded frame carries it to the logical
     line (:func:`_logical_frame`): on repetition3's mode 0 a residual of z
     points shifts the line, psi_z(u) = psi(u + z); on its modes 1 and 2 it
-    moves only an ancilla, leaving the pure input projector; on braunstein5's
-    and shor9's kicked modes it kicks the line.  A delta-like model returns
-    the pure projector too; noise wide compared to the wavefunction's
-    coherence length suppresses the off-diagonal terms.  The residual of the
-    decoder's momentum estimate is not modelled.  The matrix is
-    :func:`_shift_mixtures`' sum over all N rows and columns, one N x N term
-    at a time for N >= 32.
+    moves only an ancilla, leaving the pure input projector; on shor9's
+    modes 3 and 6 it kicks the line.  A delta-like model returns the pure
+    projector too; noise wide compared to the wavefunction's coherence
+    length suppresses the off-diagonal terms.  The residual of the decoder's
+    momentum estimate is not modelled, so a mode whose momentum residual
+    reaches the logical line (every braunstein5 mode, shor9's modes 0-2)
+    raises ValueError.  The matrix is :func:`_shift_mixtures`' sum over all
+    N rows and columns, one N x N term at a time for N >= 32.
     """
     if code is None:
         code = build_repetition3()
@@ -981,8 +982,17 @@ def _logical_frame(code: CodeSpec, error_mode: int) -> tuple[int, int]:
     the decoded frame shifts the logical line by c points and kicks it by
     d dx (rows logical and M + logical of the mode's S^-1 column).  (1, 0)
     for repetition3's mode 0, (0, 0) for its modes 1 and 2, (0, -1) for
-    braunstein5's mode 0."""
+    shor9's modes 3 and 6.
+
+    Raises ValueError when the readouts also see the mode's momentum and the
+    frame carries that estimate's residual to the logical line: the joint
+    (x, p) residual is not modelled."""
     m, lm, s_inv = code.mode_count, code.logical_mode, _code_plan(code).decoded_shift
+    momentum_seen = any(form[m + error_mode] for form in code.readout_forms)
+    if momentum_seen and (s_inv[lm, m + error_mode] or s_inv[m + lm, m + error_mode]):
+        raise ValueError(
+            f"the residual of mode {error_mode}'s momentum estimate reaches the logical "
+            "line; the prediction models the position residual alone")
     return int(s_inv[lm, error_mode]), int(s_inv[m + lm, error_mode])
 
 
@@ -1000,9 +1010,9 @@ def _predicted_logical_fidelities(
     term."""
     _check_matrix_budget(grid.n_points)
     row = _estimator_row(code, error_mode)
+    frame = _logical_frame(code, error_mode)
     dists = np.array([_shift_distribution(row, model, grid) for model in models])
     bra = psi.conj()
-    frame = _logical_frame(code, error_mode)
     return [float(np.real(bra @ rho @ psi))
             for rho in _shift_mixtures(psi, dists, grid, frame, psi.nonzero()[0])]
 
@@ -1032,9 +1042,12 @@ def _shift_mixtures(
     one scales them by the complex weights p[k] + 0j, as ``term *= p[k]``
     scales one term, and one accumulate adds them to the block in k order,
     so every entry keeps the bits of the one-term-at-a-time sum.  A block
-    with more amplitudes than that (a dense psi at N >= 32) runs that sum,
-    one term at a time through one reused buffer.  The copies any row weighs
-    are gathered once, on the support, for all rows."""
+    with more amplitudes than that (a dense psi at N >= 32) takes one term a
+    pass, through a one-term stack beside the block, and adds it to the
+    block with ``+=``: ``np.add.accumulate`` runs its inner loop along k,
+    once per entry, about four times the cost of ``+=`` on a 512 x 512
+    block.  The copies any row weighs are gathered once, on the support, for
+    all rows."""
     n, c0 = grid.n_points, grid.center_index
     if len(psi) != n:
         raise GridError(f"wavefunction length {len(psi)} != grid size {n}")
@@ -1049,26 +1062,20 @@ def _shift_mixtures(
     conj = shifted.conj()
     s = len(rows)
     block_at = None if s == n else np.ix_(rows, rows)
-    # a dense psi holds no index array beside its two N x N buffers
-    del rows, support
     per_pass = max(1, min(len(ks), _MIXTURE_PASS // max(1, s * s)))
     stack = np.empty((per_pass, s, s), dtype=np.complex128)
     for p in weights[:, ks]:
         block = np.zeros((s, s), dtype=np.complex128)
         (nonzero,) = p.nonzero()
-        if per_pass == 1:
-            term = stack[0]
-            for i in nonzero:
-                np.multiply(shifted[i, :, None], conj[i, None, :], out=term)
-                term *= p[i]
-                block += term
-        else:
-            weight = p.astype(np.complex128)
-            for start in range(0, len(nonzero), per_pass):
-                i = nonzero[start:start + per_pass]
-                terms = stack[:len(i)]
-                np.multiply(shifted[i, :, None], conj[i, None, :], out=terms)
-                terms *= weight[i, None, None]
+        weight = p.astype(np.complex128)
+        for start in range(0, len(nonzero), per_pass):
+            i = nonzero[start:start + per_pass]
+            terms = stack[:len(i)]
+            np.multiply(shifted[i, :, None], conj[i, None, :], out=terms)
+            terms *= weight[i, None, None]
+            if len(i) == 1:
+                block += terms[0]
+            else:
                 terms[0] += block
                 np.add.accumulate(terms, axis=0, out=terms)
                 block[...] = terms[-1]

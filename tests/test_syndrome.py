@@ -1244,7 +1244,7 @@ def test_sweep_predictions_equal_one_decoherence_prediction_per_model(n):
         assert np.signbit(inputs[2][inputs[2] == 0].imag).any()
     for psi in inputs:
         for code, mode in ((build_repetition3(), 0), (build_repetition3(), 2),
-                           (build_braunstein5(), 3), (build_braunstein5(), 0)):
+                           (build_shor9(), 3), (build_shor9(), 4)):
             want = [float(np.real(psi.conj() @ decoherence_prediction(psi, m, code, grid, mode)
                                   @ psi)).hex() for m in models]
             got = syndrome_module._predicted_logical_fidelities(psi, models, code, grid, mode)
@@ -1288,11 +1288,11 @@ def test_prediction_for_an_ancilla_mode_error_is_the_pure_projector(mode):
         assert abs(moved[peaks]) < abs(pure[peaks])
 
 
-@pytest.mark.parametrize("code, mode", [(build_braunstein5(), 0), (build_shor9(), 3)])
-def test_prediction_for_a_kicked_mode_mixes_kicked_copies(code, mode):
-    # the decoded frame turns a residual of z points on these modes into a
-    # logical kick of -z dx, which keeps psi's support
-    grid, psi = GridSpec(16, 1), two_peak(16, 4)
+@pytest.mark.parametrize("mode", [3, 6])
+def test_prediction_for_a_kicked_mode_mixes_kicked_copies(mode):
+    # the decoded frame turns a residual of z points on shor9's modes 3 and 6
+    # into a logical kick of -z dx, which keeps psi's support
+    code, grid, psi = build_shor9(), GridSpec(16, 1), two_peak(16, 4)
     model = MeasurementModel.gaussian(0.5 * grid.dx)
     p = residual_shift_distribution(code, model, grid, mode)
     copies = [(pk, psi * grid_module.kick_phase(grid, -(k - grid.center_index) * grid.dx))
@@ -1301,6 +1301,22 @@ def test_prediction_for_a_kicked_mode_mixes_kicked_copies(code, mode):
     rho = decoherence_prediction(psi, model, code, grid, mode)
     assert np.max(np.abs(rho - want)) < 1e-15
     assert not rho[psi == 0].any() and not rho[:, psi == 0].any()
+
+
+@pytest.mark.parametrize("code, mode", [(build_braunstein5(), m) for m in range(5)]
+                         + [(build_shor9(), m) for m in range(3)])
+def test_prediction_refuses_a_mode_whose_momentum_residual_reaches_the_logical_line(code, mode):
+    # the decoder also estimates these modes' momentum, and the decoded frame
+    # carries that residual to the logical line: a position-only mixture
+    # would read 0.840 on braunstein5's mode 0 (N=16, two-peak separation 4,
+    # 0.5 dx) where trials read 0.699
+    grid, psi = GridSpec(16, 1), two_peak(16, 4)
+    message = rf"mode {mode}'s momentum estimate reaches the logical line"
+    for model in (MeasurementModel.gaussian(0.5 * grid.dx), MeasurementModel.gaussian(0.0)):
+        with pytest.raises(ValueError, match=message):
+            decoherence_prediction(psi, model, code, grid, mode)
+        with pytest.raises(ValueError, match=message):
+            syndrome_module._predicted_logical_fidelities(psi, [model], code, grid, mode)
 
 
 def test_decoherence_prediction_refuses_a_wavefunction_of_another_length():
